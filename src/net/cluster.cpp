@@ -45,7 +45,7 @@ ClusterResult run_loopback_cluster(const ClusterConfig& cfg) {
 
   // Phase 2: pump every transport from this one thread until the driver
   // has its census. Node 0's poll blocks briefly so an idle cluster
-  // waits in epoll instead of spinning.
+  // waits in poll(2) instead of spinning.
   driver.start();
   UdpTransport& clock = *transports[0];
   while (!driver.done()) {
@@ -80,6 +80,8 @@ ClusterResult run_loopback_cluster(const ClusterConfig& cfg) {
   for (const auto& t : transports) {
     result.datagrams += t->links().total;
     result.malformed += t->malformed();
+    result.send_calls += t->send_calls();
+    result.self_delivered += t->self_delivered();
   }
   for (const auto& n : nodes) {
     result.stale_reads += n.stale_reads();

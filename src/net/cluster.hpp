@@ -3,11 +3,12 @@
 // N UdpTransports bound to ephemeral 127.0.0.1 ports, one NodeLogic
 // each, a ClientDriver on node 0, all pumped from the calling thread
 // until the workload (and the closing load census) completes. Every
-// datagram crosses the kernel's loopback path — real sockets, real
-// epoll, real encode/decode — which is exactly what the differential
+// message between two nodes crosses the kernel's loopback path — real
+// sockets, real encode/decode — which is exactly what the differential
 // test needs: the same workload under SimTransport must produce the
 // same placements even though these messages genuinely left the
-// process's memory.
+// process's memory. (Messages a node addresses to itself, such as the
+// driver's op starts at node 0, stay in-process: see udp_transport.hpp.)
 //
 // The multi-process version of the same ring is the dht_node binary
 // (src/service/dht_node.cpp); this harness exists so tests and
@@ -32,10 +33,16 @@ struct ClusterConfig {
 
 struct ClusterResult {
   DriverReport report;
-  /// Datagrams sent across all nodes' transports.
+  /// Protocol sends across all nodes' transports (links().total), the
+  /// self-addressed ones that skip the socket included.
   std::uint64_t datagrams = 0;
   /// Received frames that failed wire::decode (should be zero).
   std::uint64_t malformed = 0;
+  /// sendmsg calls across all transports; fewer than the frames written
+  /// (datagrams - self_delivered) when the outboxes batched.
+  std::uint64_t send_calls = 0;
+  /// Sends a transport delivered to its own node without the socket.
+  std::uint64_t self_delivered = 0;
   /// Placements the owners observed landing on stale load information.
   std::uint64_t stale_reads = 0;
   /// Distinct keys holding a value across all node stores after the run

@@ -11,10 +11,13 @@
 //     run on, extracted so the protocol handlers in SimCore talk to a
 //     transport surface instead of a queue they own.
 //   * UdpTransport (udp_transport.hpp): the real world. Sending encodes
-//     the message with the fixed wire codec (wire.hpp) and writes one UDP
-//     datagram to the destination node's socket; delivery order and timing
-//     are whatever the kernel and the network do, and timers come from a
-//     timer wheel against the monotonic clock.
+//     the message with the fixed wire codec (wire.hpp) into a buffer per
+//     destination node; each poll() drains the socket, then writes every
+//     buffer as one sendmsg the kernel cuts into one UDP datagram per
+//     frame (UDP GSO). A message a node addresses to itself stays
+//     in-process, handled within the same poll(). Delivery order and
+//     timing are whatever the kernel and the network do, and timers come
+//     from a timer wheel against the monotonic clock.
 //
 // Both expose the same three verbs the protocol needs — send one message
 // to its `at` node, deliver a message locally, schedule a timer — so node
@@ -41,7 +44,8 @@ namespace geochoice::net {
 
 /// Per-type link-traversal counters every transport keeps: the wire cost
 /// of the protocol, identical in meaning across worlds (simulated link
-/// traversals there, UDP datagrams here).
+/// traversals there, protocol sends — UDP datagrams plus self-addressed
+/// messages — in UdpTransport).
 struct LinkCounters {
   std::uint64_t total = 0;
   std::array<std::uint64_t, kMsgTypeCount> by_type{};

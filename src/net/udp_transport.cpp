@@ -1,8 +1,10 @@
 #include "net/udp_transport.hpp"
 
 #include <netinet/in.h>
-#include <sys/epoll.h>
+#include <netinet/udp.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -11,8 +13,6 @@
 #include <stdexcept>
 #include <system_error>
 #include <utility>
-
-#include "net/wire.hpp"
 
 namespace geochoice::net {
 
@@ -58,32 +58,16 @@ UdpTransport::UdpTransport(std::uint32_t self, std::uint16_t port)
     throw_errno("UdpTransport: getsockname");
   }
   port_ = ntohs(addr.sin_port);
-  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) {
-    const int saved = errno;
-    close(fd_);
-    errno = saved;
-    throw_errno("UdpTransport: epoll_create1");
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = fd_;
-  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd_, &ev) != 0) {
-    const int saved = errno;
-    close(epoll_fd_);
-    close(fd_);
-    errno = saved;
-    throw_errno("UdpTransport: epoll_ctl");
-  }
 }
 
 UdpTransport::~UdpTransport() {
-  if (epoll_fd_ >= 0) close(epoll_fd_);
   if (fd_ >= 0) close(fd_);
 }
 
 void UdpTransport::set_peers(std::vector<Endpoint> peers) {
   peers_ = std::move(peers);
+  outbox_.assign(peers_.size(), {});
+  pending_.clear();
 }
 
 void UdpTransport::send(const Message& m) {
@@ -92,13 +76,18 @@ void UdpTransport::send(const Message& m) {
                            std::to_string(m.at));
   }
   links_.count(m.type);
-  const wire::Frame f = wire::encode(m);
-  const sockaddr_in addr = to_sockaddr(peers_[m.at]);
-  // A full socket buffer or transient kernel refusal drops the datagram —
-  // exactly what a real network would do; the protocol's retransmit
-  // timers own recovery.
-  (void)sendto(fd_, f.data(), f.size(), 0,
-               reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  if (m.at == self_) {
+    ++self_delivered_;
+    local_.push_back(m);
+    return;
+  }
+  std::vector<wire::Frame>& box = outbox_[m.at];
+  if (box.empty()) {
+    pending_.push_back(m.at);
+  } else if (box.size() == kMaxSegments) {
+    write_out(m.at);  // stays listed in pending_: the frame below refills it
+  }
+  box.push_back(wire::encode(m));
 }
 
 std::uint64_t UdpTransport::now_ms() const {
@@ -109,13 +98,10 @@ std::uint64_t UdpTransport::now_us() const {
   return (monotonic_ns() - epoch_ns_) / 1'000ULL;
 }
 
-int UdpTransport::wait_readable(int timeout_ms) {
-  epoll_event ev{};
-  for (;;) {
-    const int n = epoll_wait(epoll_fd_, &ev, 1, timeout_ms);
-    if (n >= 0) return n;
-    if (errno == EINTR) continue;
-    throw_errno("UdpTransport: epoll_wait");
+void UdpTransport::wait_readable(int timeout_ms) {
+  pollfd p{fd_, POLLIN, 0};
+  if (::poll(&p, 1, timeout_ms) < 0 && errno != EINTR) {
+    throw_errno("UdpTransport: poll");
   }
 }
 
@@ -135,6 +121,52 @@ bool UdpTransport::recv_one(Message& out) {
     }
     out = *decoded;
     return true;
+  }
+}
+
+void UdpTransport::flush() {
+  for (const std::uint32_t to : pending_) {
+    // Empty only when a write of an earlier flush threw midway.
+    if (!outbox_[to].empty()) write_out(to);
+  }
+  pending_.clear();
+}
+
+void UdpTransport::write_out(std::uint32_t to) {
+  std::vector<wire::Frame>& box = outbox_[to];
+  sockaddr_in addr = to_sockaddr(peers_[to]);
+  iovec iov{box.data(), box.size() * wire::kFrameSize};
+  msghdr msg{};
+  msg.msg_name = &addr;
+  msg.msg_namelen = sizeof(addr);
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  // Two or more frames: one GSO bundle the kernel cuts into kFrameSize
+  // datagrams.
+  alignas(cmsghdr) unsigned char control[CMSG_SPACE(sizeof(std::uint16_t))]{};
+  if (box.size() > 1) {
+    msg.msg_control = control;
+    msg.msg_controllen = sizeof(control);
+    cmsghdr* c = CMSG_FIRSTHDR(&msg);
+    c->cmsg_level = SOL_UDP;
+    c->cmsg_type = UDP_SEGMENT;
+    c->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
+    const auto segment = static_cast<std::uint16_t>(wire::kFrameSize);
+    std::memcpy(CMSG_DATA(c), &segment, sizeof(segment));
+  }
+  int err = 0;
+  do {
+    ++send_calls_;
+    err = sendmsg(fd_, &msg, 0) < 0 ? errno : 0;
+  } while (err == EINTR);
+  box.clear();
+  // A full socket buffer or a transient kernel refusal drops the bundle —
+  // exactly what a real network would do; the protocol's retransmit
+  // timers own recovery.
+  if (err != 0 && err != EAGAIN && err != EWOULDBLOCK && err != ENOBUFS &&
+      err != ENOMEM) {
+    errno = err;
+    throw_errno("UdpTransport: sendmsg");
   }
 }
 

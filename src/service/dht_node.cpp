@@ -82,11 +82,14 @@ void print_stats(const char* why, std::uint32_t id,
                  const net::NodeLogic<net::UdpTransport>& node) {
   std::fprintf(stderr,
                "dht_node[%u] %s: t=%llums datagrams_out=%llu "
-               "malformed=%llu load=%u keys_stored=%llu\n",
+               "malformed=%llu send_calls=%llu self_delivered=%llu load=%u "
+               "keys_stored=%llu\n",
                id, why,
                static_cast<unsigned long long>(transport.now_ms()),
                static_cast<unsigned long long>(transport.links().total),
                static_cast<unsigned long long>(transport.malformed()),
+               static_cast<unsigned long long>(transport.send_calls()),
+               static_cast<unsigned long long>(transport.self_delivered()),
                node.load(),
                static_cast<unsigned long long>(node.keys_stored()));
 }
@@ -199,7 +202,8 @@ int drive(const Options& opt) {
   std::printf("nodes=%zu inserts=%llu lookups=%llu puts=%llu gets=%llu "
               "get_misses=%llu max_load=%u keys_stored=%llu "
               "retransmits=%llu data_retransmits=%llu census_retries=%llu "
-              "datagrams_out=%llu malformed=%llu\n",
+              "datagrams_out=%llu malformed=%llu send_calls=%llu "
+              "self_delivered=%llu\n",
               opt.nodes, static_cast<unsigned long long>(r.inserts),
               static_cast<unsigned long long>(r.lookups),
               static_cast<unsigned long long>(r.puts),
@@ -210,7 +214,9 @@ int drive(const Options& opt) {
               static_cast<unsigned long long>(r.data_retransmits),
               static_cast<unsigned long long>(r.census_retries),
               static_cast<unsigned long long>(transport.links().total),
-              static_cast<unsigned long long>(transport.malformed()));
+              static_cast<unsigned long long>(transport.malformed()),
+              static_cast<unsigned long long>(transport.send_calls()),
+              static_cast<unsigned long long>(transport.self_delivered()));
   std::printf("insert_latency_us: mean=%.1f p50=%.1f p90=%.1f p99=%.1f\n",
               r.insert_latency_us.mean(), r.insert_latency_us_q.value(0),
               r.insert_latency_us_q.value(1), r.insert_latency_us_q.value(2));

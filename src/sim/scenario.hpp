@@ -183,7 +183,8 @@ struct WireMetrics {
   double lookup_latency_p50 = 0.0;
   double lookup_latency_p90 = 0.0;
   double lookup_latency_p99 = 0.0;
-  /// Wire cost per insert: link traversals (kSim) or datagrams (kUdp).
+  /// Wire cost per insert: link traversals (kSim) or UdpTransport
+  /// protocol sends, self-addressed ones included (kUdp).
   double links_per_insert = 0.0;
   double probe_hops_per_insert = 0.0;
   /// Fraction of placements that acted on a stale load reply.

@@ -231,6 +231,41 @@ TEST(UdpCluster, TraceRecorderSeesRealDatagramLifecycles) {
   EXPECT_GE(delivered, ccfg.driver.inserts + ccfg.driver.lookups);
 }
 
+TEST(UdpCluster, Window32ServesEveryOp) {
+  // Every other cluster test runs at window 1, where each outbox holds
+  // one frame per poll. With 32 ops in flight the transports bundle
+  // frames per destination; the protocol must not notice.
+  net::ClusterConfig ccfg;
+  ccfg.nodes = 4;
+  ccfg.driver.inserts = 1024;
+  ccfg.driver.choices = 2;
+  ccfg.driver.window = 32;
+  ccfg.driver.store_gets = 2048;
+  ccfg.driver.store_zipf_alpha = 0.9;
+  ccfg.driver.seed = kSeed;
+  ccfg.driver.trial = 5;
+
+  net::ClusterResult real;
+  try {
+    real = run_cluster_or_skip(ccfg);
+  } catch (const std::system_error&) {
+    return;
+  }
+  ASSERT_EQ(real.report.inserts, ccfg.driver.inserts);
+  ASSERT_EQ(real.report.loads.size(), ccfg.nodes);
+  const std::uint64_t placed = std::accumulate(
+      real.report.loads.begin(), real.report.loads.end(), std::uint64_t{0});
+  EXPECT_EQ(placed, ccfg.driver.inserts);
+  EXPECT_EQ(real.report.puts, ccfg.driver.inserts);
+  EXPECT_EQ(real.report.gets, ccfg.driver.store_gets);
+  EXPECT_EQ(real.report.get_misses, 0u);
+  EXPECT_EQ(real.keys_stored, ccfg.driver.inserts);
+  EXPECT_EQ(real.malformed, 0u);
+  const std::uint64_t frames_written = real.datagrams - real.self_delivered;
+  EXPECT_GT(real.self_delivered, 0u);
+  EXPECT_LT(real.send_calls, frames_written);  // bundles were written
+}
+
 TEST(UdpCluster, SingleNodeClusterServesItself) {
   net::ClusterConfig ccfg;
   ccfg.nodes = 1;
