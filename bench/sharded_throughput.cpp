@@ -3,8 +3,9 @@
 // The batched engine (BENCH_batch.json) caps a single allocation at one
 // core; this bench measures what the sharded engine buys on top: ring
 // sharded-vs-batched balls/sec across a thread sweep, and the torus batch
-// path (SoA bucket scan) against the scalar oracle. Writes machine-readable
-// BENCH_sharded.json for the perf-gate / trajectory tracking.
+// path (3x3 padded-row scan) against the scalar oracle. Writes
+// machine-readable BENCH_sharded.json for the perf-gate / trajectory
+// tracking.
 //
 // Usage: sharded_throughput [--out FILE] [--n N] [--m M] [--quick]
 //   --out FILE   JSON output path (default BENCH_sharded.json)
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
     ring_sharded_best = std::max(ring_sharded_best, ms.back().items_per_sec);
   }
 
-  // --- torus: scalar oracle vs batched (SoA bucket scan) vs sharded.
+  // --- torus: scalar oracle vs batched (3x3 padded-row scan) vs sharded.
   ms.push_back(measure("TorusScalar/scalar", 0, torus_m, warmup, reps, [&] {
     const auto r = gc::run_process(torus, torus_opt, gen);
     if (r.max_load == 0) std::abort();

@@ -9,7 +9,7 @@
 //                locations in one tight RNG loop (rng/block_sampler.hpp);
 //   2. resolve — map the whole buffer to owning bins with the space's bulk
 //                lookup (lockstep branchless binary search on the ring,
-//                bucket-sorted grid walk on the torus);
+//                branch-free 3x3 padded-row grid scan on the torus);
 //   3. place   — walk the resolved bins sequentially with the exact scalar
 //                tie-break semantics, prefetching upcoming load slots.
 //

@@ -11,8 +11,8 @@
 //                tight RNG loop, in exactly the scalar loop's draw order;
 //   2. resolve — worker threads drain their own shards' queues against
 //                shard-local structures (the ring's sorted positions sliced
-//                into per-shard sub-ranges; the torus grid walked band by
-//                band with per-worker scratch). Probes a shard cannot answer
+//                into per-shard sub-ranges; the torus grid's batch kernel
+//                over the queries of one band). Probes a shard cannot answer
 //                locally — a ring probe whose owning server lies in an
 //                earlier shard — are resolved in a deterministic second
 //                pass. Every output slot is written by exactly one worker,
@@ -52,7 +52,6 @@
 #include "core/placement.hpp"
 #include "core/process.hpp"
 #include "geometry/ring_arithmetic.hpp"
-#include "geometry/spatial_grid.hpp"
 #include "parallel/shard_queues.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/streams.hpp"
@@ -97,8 +96,7 @@ struct ShardedScratch {
     std::vector<std::uint32_t> cursor;        // counting-sort cursors
     std::vector<std::uint32_t> sorted_slots;  // queue sorted by shard
     std::vector<Location> sorted_items;
-    std::vector<spaces::BinIndex> owners;      // resolved owners
-    geometry::SpatialGrid::BatchScratch grid;  // torus resolve scratch
+    std::vector<spaces::BinIndex> owners;     // resolved owners
   };
   std::vector<Location> locations[2];
   std::vector<spaces::BinIndex> bins[2];
@@ -217,14 +215,12 @@ void resolve_shard_queue(const S& space, const ShardRouting& routing,
       bins[wk.sorted_slots[j]] = wk.owners[j];
     }
     return;
-  } else if constexpr (std::is_same_v<S, spaces::TorusSpace>) {
-    // The grid lookup is global and exact, so a torus "cross-shard probe"
-    // (a query whose nearest site sits in a neighboring band) needs no
-    // special pass — the ring walk just reads a few read-only buckets of
-    // the adjacent band. Band-gathered queries + the SoA batch kernel keep
-    // the touched buckets to ~1/shards of the grid.
-    space.owner_batch(q.items, wk.owners, &wk.grid);
   } else if constexpr (core::detail::HasOwnerBatch<S>) {
+    // The torus grid lookup is global and exact, so a torus "cross-shard
+    // probe" (a query whose nearest site sits in a neighboring band) needs
+    // no special pass — the 3x3 block scan just reads a few read-only rows
+    // of the adjacent band. Band-gathered queries keep the touched rows to
+    // ~1/shards of the grid.
     space.owner_batch(q.items, wk.owners);
   } else {
     for (std::size_t j = 0; j < nq; ++j) {

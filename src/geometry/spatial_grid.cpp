@@ -1,11 +1,28 @@
 #include "geometry/spatial_grid.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
 
 namespace geochoice::geometry {
+
+namespace {
+
+/// (d², site index) packed so that integer order is the (d², lowest index)
+/// order: for d² >= 0 the IEEE-754 bits of a double order like its value.
+using Key = unsigned __int128;
+
+[[nodiscard]] inline Key make_key(double d2, std::uint32_t idx) noexcept {
+  return (static_cast<Key>(std::bit_cast<std::uint64_t>(d2)) << 32) | idx;
+}
+
+[[nodiscard]] inline double key_dist2(Key key) noexcept {
+  return std::bit_cast<double>(static_cast<std::uint64_t>(key >> 32));
+}
+
+}  // namespace
 
 SpatialGrid::SpatialGrid(std::span<const Vec2> sites,
                          std::uint32_t buckets_per_axis)
@@ -22,33 +39,41 @@ SpatialGrid::SpatialGrid(std::span<const Vec2> sites,
   k_ = k;
   cell_ = 1.0 / static_cast<double>(k_);
 
-  const std::size_t buckets = static_cast<std::size_t>(k_) * k_;
-  std::vector<std::uint32_t> count(buckets + 1, 0);
-  std::vector<std::uint32_t> bucket_of_site(n);
+  // Count each padded bucket, ghosts included: a site in column 0 is also
+  // counted in its row's trailing ghost, one in column k-1 in the leading
+  // ghost (with k == 1 both).
+  const std::size_t padded = padded_slot(k_, 0);
+  std::vector<std::uint32_t> count(padded + 1, 0);
+  std::vector<std::uint32_t> slot_of_site(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t bx = bucket_of(sites_[i].x);
-    const std::uint32_t by = bucket_of(sites_[i].y);
-    const std::uint32_t b = bx + by * k_;
-    bucket_of_site[i] = b;
-    ++count[b + 1];
+    const std::size_t p = padded_slot(bucket_of(sites_[i].y), bx + 1);
+    slot_of_site[i] = static_cast<std::uint32_t>(p);
+    ++count[p + 1];
+    if (bx == 0) ++count[p + k_ + 1];
+    if (bx == k_ - 1) ++count[p - k_ + 1];
   }
-  for (std::size_t b = 0; b < buckets; ++b) count[b + 1] += count[b];
-  start_ = count;
-  order_.resize(n);
-  std::vector<std::uint32_t> cursor(start_.begin(), start_.end() - 1);
+  for (std::size_t p = 0; p < padded; ++p) count[p + 1] += count[p];
+  row_start_ = count;
+  ids_.resize(row_start_.back());
+  std::vector<std::uint32_t> cursor(row_start_.begin(), row_start_.end() - 1);
   for (std::size_t i = 0; i < n; ++i) {
-    order_[cursor[bucket_of_site[i]]++] = static_cast<std::uint32_t>(i);
+    ids_[cursor[slot_of_site[i]]++] = static_cast<std::uint32_t>(i);
+  }
+  // The ghosts copy the filled buckets of columns 0 and k-1.
+  for (std::size_t row = 0; row < k_; ++row) {
+    const std::uint32_t* const at = row_start_.data() + padded_slot(row, 0);
+    std::copy(ids_.begin() + at[k_], ids_.begin() + at[k_ + 1],
+              ids_.begin() + at[0]);
+    std::copy(ids_.begin() + at[1], ids_.begin() + at[2],
+              ids_.begin() + at[k_ + 1]);
   }
 
-  bucket_x_.resize(n);
-  bucket_y_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    bucket_x_[i] = sites_[order_[i]].x;
-    bucket_y_[i] = sites_[order_[i]].y;
-  }
-  wrap_.resize(3 * static_cast<std::size_t>(k_));
-  for (std::size_t i = 0; i < wrap_.size(); ++i) {
-    wrap_[i] = static_cast<std::uint32_t>(i % k_);
+  xs_.resize(ids_.size());
+  ys_.resize(ids_.size());
+  for (std::size_t i = 0; i < ids_.size(); ++i) {
+    xs_[i] = sites_[ids_[i]].x;
+    ys_[i] = sites_[ids_[i]].y;
   }
 }
 
@@ -100,124 +125,83 @@ double SpatialGrid::nearest_dist2(Vec2 q) const noexcept {
   return torus_dist2(sites_[nearest(q)], q);
 }
 
-std::uint32_t SpatialGrid::nearest_soa(Vec2 q) const noexcept {
+SpatialGrid::Block SpatialGrid::block_of(Vec2 q) const noexcept {
+  const std::uint32_t bx = bucket_of(q.x);
+  const std::uint32_t by = bucket_of(q.y);
+  const std::uint32_t up = by == 0 ? k_ - 1 : by - 1;
+  const std::uint32_t down = by + 1 == k_ ? 0 : by + 1;
+  const std::uint32_t* const rows = row_start_.data();
+  return {{rows + padded_slot(up, bx), rows + padded_slot(by, bx),
+           rows + padded_slot(down, bx)}};
+}
+
+std::uint32_t SpatialGrid::nearest_scan(Vec2 q,
+                                        const Block& block) const noexcept {
   assert(!sites_.empty());
   const double qx = wrap01(q.x);
   const double qy = wrap01(q.y);
-  const std::int64_t bx = bucket_of(q.x);
-  const std::int64_t by = bucket_of(q.y);
-  const std::int64_t k = k_;
-  // wrap valid for axis offsets in [-k, 2k); rings never exceed (k-1)/2.
-  const std::uint32_t* const wrap = wrap_.data() + k;
-  const double* const xs = bucket_x_.data();
-  const double* const ys = bucket_y_.data();
-
-  std::uint32_t best = 0;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  auto scan_bucket = [&](std::uint32_t cx, std::uint32_t cy) {
-    const std::size_t b = cx + static_cast<std::size_t>(cy) * k_;
-    const std::uint32_t end = start_[b + 1];
-    for (std::uint32_t i = start_[b]; i < end; ++i) {
-      double dx = std::fabs(xs[i] - qx);
-      dx = dx > 0.5 ? 1.0 - dx : dx;
-      double dy = std::fabs(ys[i] - qy);
-      dy = dy > 0.5 ? 1.0 - dy : dy;
-      // Bitwise-equal to torus_dist2 for inputs in [0,1): the wrapped
-      // deltas match |torus_delta| exactly (Sterbenz: 1 - |diff| is exact
-      // for |diff| >= 1/2), and squares kill the sign.
-      const double d2 = dx * dx + dy * dy;
-      const std::uint32_t idx = order_[i];
-      if (d2 < best_d2 || (d2 == best_d2 && idx < best)) {
-        best_d2 = d2;
-        best = idx;
-      }
-    }
+  const double* const xs = xs_.data();
+  const double* const ys = ys_.data();
+  const std::uint32_t* const ids = ids_.data();
+  // Equal to torus_dist2 bit for bit on [0,1): min(|d|, 1 - |d|) is
+  // |torus_delta| (Sterbenz: 1 - |d| is exact for |d| >= 1/2), and the
+  // squares drop the sign.
+  auto key_of = [&](std::uint32_t i) {
+    const double ax = std::fabs(xs[i] - qx);
+    const double ay = std::fabs(ys[i] - qy);
+    const double dx = std::min(ax, 1.0 - ax);
+    const double dy = std::min(ay, 1.0 - ay);
+    return make_key(dx * dx + dy * dy, ids[i]);
   };
+  Key best = make_key(std::numeric_limits<double>::infinity(), 0);
+
+  // Walk the three ranges as one sequence t, so the only data-dependent
+  // branch is the loop's own exit. Entry of step t is t + shift, with
+  // unsigned wraparound in the shifts.
+  const std::uint32_t* const r0 = block.row[0];
+  const std::uint32_t* const r1 = block.row[1];
+  const std::uint32_t* const r2 = block.row[2];
+  const std::uint32_t end0 = r0[3] - r0[0];
+  const std::uint32_t end1 = end0 + (r1[3] - r1[0]);
+  const std::uint32_t end2 = end1 + (r2[3] - r2[0]);
+  const std::uint32_t shift0 = r0[0];
+  const std::uint32_t shift1 = r1[0] - end0;
+  const std::uint32_t shift2 = r2[0] - end1;
+  for (std::uint32_t t = 0; t < end2; ++t) {
+    const std::uint32_t shift =
+        t < end0 ? shift0 : (t < end1 ? shift1 : shift2);
+    best = std::min(best, key_of(t + shift));
+  }
 
   const std::uint32_t max_ring = (k_ - 1) / 2;
-  for (std::uint32_t ring = 0; ring <= max_ring; ++ring) {
+  for (std::uint32_t ring = 2; ring <= max_ring; ++ring) {
     const double lower = ring_min_dist(q, ring);
-    if (lower * lower > best_d2) break;
-    const std::int64_t r = ring;
-    if (r == 0) {
-      scan_bucket(wrap[bx], wrap[by]);
-      continue;
-    }
-    const std::uint32_t cy_lo = wrap[by - r];
-    const std::uint32_t cy_hi = wrap[by + r];
-    for (std::int64_t dx = -r; dx <= r; ++dx) {
-      const std::uint32_t cx = wrap[bx + dx];
-      scan_bucket(cx, cy_lo);
-      scan_bucket(cx, cy_hi);
-    }
-    const std::uint32_t cx_lo = wrap[bx - r];
-    const std::uint32_t cx_hi = wrap[bx + r];
-    for (std::int64_t dy = -r + 1; dy <= r - 1; ++dy) {
-      const std::uint32_t cy = wrap[by + dy];
-      scan_bucket(cx_lo, cy);
-      scan_bucket(cx_hi, cy);
-    }
+    if (lower * lower > key_dist2(best)) break;
+    for_each_ring_range(bucket_of(qx), bucket_of(qy), ring,
+                        [&](std::uint32_t begin, std::uint32_t end) {
+                          for (std::uint32_t i = begin; i < end; ++i) {
+                            best = std::min(best, key_of(i));
+                          }
+                        });
   }
-  return best;
+  return static_cast<std::uint32_t>(best);
 }
 
 void SpatialGrid::nearest_batch(std::span<const Vec2> qs,
-                                std::span<std::uint32_t> out,
-                                BatchScratch* scratch) const {
+                                std::span<std::uint32_t> out) const {
   assert(qs.size() == out.size());
   const std::size_t m = qs.size();
   if (m == 0) return;
-
-  // Bucket-sorting a block only pays when (a) the grid's resident
-  // footprint exceeds cache, so locality matters at all, and (b) the block
-  // is dense enough relative to the bucket count that sorted neighbors
-  // actually share ring neighborhoods. Otherwise the sort is pure
-  // overhead; resolve in arrival order with the next queries' bucket rows
-  // prefetched ahead instead. Either way the per-query kernel is the SoA
-  // scan (nearest_soa), not the AoS walk scalar callers get.
-  const std::size_t buckets = static_cast<std::size_t>(k_) * k_;
-  const std::size_t footprint = sites_.size() * sizeof(Vec2) +
-                                start_.size() * sizeof(std::uint32_t) +
-                                order_.size() * sizeof(std::uint32_t);
-  const bool sort_pays = footprint > (std::size_t{256} << 10) &&
-                         m >= buckets / 8;
-  if (!sort_pays) {
-    constexpr std::size_t kAhead = 8;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (i + kAhead < m) {
-        const Vec2 p = qs[i + kAhead];
-        const std::size_t b =
-            bucket_of(p.x) + bucket_of(p.y) * static_cast<std::size_t>(k_);
-        __builtin_prefetch(start_.data() + b);
-      }
-      out[i] = nearest_soa(qs[i]);
-    }
-    return;
-  }
-
-  // Key each query by its home bucket and sort; queries sharing a bucket
-  // neighborhood then resolve back-to-back, so the CSR rows and site
-  // coordinates touched by one neighborhood are reused by the next query
-  // instead of being evicted between them.
-  BatchScratch local;
-  BatchScratch& s = scratch ? *scratch : local;
-  s.keyed.resize(m);
+  Block next = block_of(qs[0]);
   for (std::size_t i = 0; i < m; ++i) {
-    const std::uint64_t b =
-        bucket_of(qs[i].x) + bucket_of(qs[i].y) * static_cast<std::uint64_t>(k_);
-    s.keyed[i] = (b << 32) | i;
-  }
-  std::sort(s.keyed.begin(), s.keyed.end());
-
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::uint32_t qi = static_cast<std::uint32_t>(s.keyed[i]);
-    // Pull the next query's bucket row in early; resolving the current one
-    // gives the prefetch time to land.
+    const Block block = next;
+    // Pull the next query's three row offsets in early; resolving the
+    // current one gives the prefetches time to land.
     if (i + 1 < m) {
-      const std::size_t nb = s.keyed[i + 1] >> 32;
-      __builtin_prefetch(start_.data() + nb);
+      next = block_of(qs[i + 1]);
+      for (const std::uint32_t* row : next.row) __builtin_prefetch(row);
     }
-    out[qi] = nearest_soa(qs[qi]);
+    out[i] = nearest_scan(qs[i], block);
   }
 }
 

@@ -11,6 +11,13 @@
 // With n uniformly random sites and ~1 site per bucket, nearest() is O(1)
 // expected: scan the query's bucket ring by ring, pruning once the ring's
 // minimum possible distance exceeds the best distance found.
+//
+// Storage is one bucket layout, row by row. Each row is padded with a ghost
+// copy of its last column before column 0 and a ghost copy of column 0
+// after its last column, so the three buckets c-1, c, c+1 of a row are one
+// contiguous range of entries for every column c, wrap included. An entry
+// is a site's x, y and index, kept in three parallel arrays so a range is a
+// contiguous, gather-free distance sweep.
 #pragma once
 
 #include <cstdint>
@@ -38,31 +45,19 @@ class SpatialGrid {
     return k_;
   }
 
-  /// Index of the nearest site to `q` (torus metric). Requires >= 1 site.
+  /// Index of the nearest site to `q` (torus metric); ties go to the lowest
+  /// index. Requires >= 1 site.
   [[nodiscard]] std::uint32_t nearest(Vec2 q) const noexcept;
 
   /// Distance-squared to the nearest site.
   [[nodiscard]] double nearest_dist2(Vec2 q) const noexcept;
 
-  /// Reusable scratch for nearest_batch (avoids per-block allocations when
-  /// the batched process resolves millions of blocks).
-  struct BatchScratch {
-    std::vector<std::uint64_t> keyed;  // (bucket << 32 | query index)
-  };
-
   /// Batched nearest-site resolution: `out[i] = nearest(qs[i])` for every
-  /// query. Two batch-only optimizations on top of the scalar walk:
-  ///   * SoA candidate scan — bucket contents are stored as separate
-  ///     coordinate arrays in bucket order (bucket_x_/bucket_y_), so a
-  ///     bucket's candidates are one contiguous, branchless distance sweep
-  ///     instead of an index-indirected gather, and the wrap of ring bucket
-  ///     coordinates comes from a precomputed table instead of div/mod;
-  ///   * bucket-sorted resolution order (when the grid spills out of cache)
-  ///     so consecutive lookups share ring neighborhoods.
+  /// query, resolved in arrival order (see nearest_scan for the kernel).
   /// Requires qs.size() == out.size(). Queries must lie in [0,1)^2 (the
   /// process engines' domain); others are wrapped first.
-  void nearest_batch(std::span<const Vec2> qs, std::span<std::uint32_t> out,
-                     BatchScratch* scratch = nullptr) const;
+  void nearest_batch(std::span<const Vec2> qs,
+                     std::span<std::uint32_t> out) const;
 
   /// Invoke `fn(site_index, dist2)` for every site within torus distance
   /// `radius` of `q` (inclusive). Visits each site exactly once; order is
@@ -111,45 +106,73 @@ class SpatialGrid {
   [[nodiscard]] std::uint32_t bucket_of(double coord) const noexcept;
   [[nodiscard]] std::uint32_t ring_cover(double radius) const noexcept;
 
-  /// Scalar nearest over the SoA bucket storage: same ring walk, pruning,
-  /// and index tie-break as nearest(), but candidates are scanned from the
-  /// contiguous per-bucket coordinate arrays with branchless torus deltas
-  /// and table-based bucket wrap. Bit-identical result to nearest() for
-  /// queries in [0,1)^2. The batch path's inner kernel.
-  [[nodiscard]] std::uint32_t nearest_soa(Vec2 q) const noexcept;
+  /// The 3x3 block of buckets around q's bucket (rings 0 and 1) as three
+  /// padded-row ranges: for rows by-1, by, by+1, row[j] points at the
+  /// offsets of padded columns bx..bx+3, so [row[j][0], row[j][3]) holds
+  /// bucket columns bx-1, bx, bx+1, wrap included.
+  struct Block {
+    const std::uint32_t* row[3];
+  };
+  [[nodiscard]] Block block_of(Vec2 q) const noexcept;
+
+  /// The batch kernel: the same ring walk, pruning and (d², lowest index)
+  /// rule as nearest(), with no data-dependent branch inside q's 3x3
+  /// `block`. The block's three ranges are scanned in one loop that keeps
+  /// the minimum of a (d² bits, index) key; rings >= 2 are scanned bucket
+  /// by bucket into the same key. Bit-identical to nearest() for queries
+  /// in [0,1)^2.
+  [[nodiscard]] std::uint32_t nearest_scan(Vec2 q,
+                                           const Block& block) const noexcept;
+
+  /// First entry of the padded bucket at padded column `pc` (bucket column
+  /// pc - 1, wrapped) of row `row`; the bucket ends where pc + 1 starts.
+  [[nodiscard]] std::size_t padded_slot(std::size_t row,
+                                        std::size_t pc) const noexcept {
+    return row * (static_cast<std::size_t>(k_) + 2) + pc;
+  }
+
+  /// Call `fn(begin, end)` with the entry range of every bucket in the
+  /// Chebyshev ring at distance `ring` buckets around bucket (bx, by)
+  /// (ring 0 = the bucket itself). Rings that wrap past half the grid would
+  /// revisit buckets; callers never request them, but they are skipped.
+  template <typename Fn>
+  void for_each_ring_range(std::int64_t bx, std::int64_t by,
+                           std::uint32_t ring, Fn&& fn) const {
+    const std::int64_t k = k_;
+    auto bucket = [&](std::int64_t cx, std::int64_t cy) {
+      // |offset| <= ring < k, so one conditional add/subtract wraps.
+      cx = cx < 0 ? cx + k : (cx >= k ? cx - k : cx);
+      cy = cy < 0 ? cy + k : (cy >= k ? cy - k : cy);
+      const std::size_t p = padded_slot(static_cast<std::size_t>(cy),
+                                        static_cast<std::size_t>(cx) + 1);
+      fn(row_start_[p], row_start_[p + 1]);
+    };
+    const std::int64_t r = ring;
+    if (r == 0) {
+      bucket(bx, by);
+      return;
+    }
+    if (2 * r >= k) return;
+    for (std::int64_t dx = -r; dx <= r; ++dx) {
+      bucket(bx + dx, by - r);
+      bucket(bx + dx, by + r);
+    }
+    for (std::int64_t dy = -r + 1; dy <= r - 1; ++dy) {
+      bucket(bx - r, by + dy);
+      bucket(bx + r, by + dy);
+    }
+  }
 
   /// Visit every site stored in the Chebyshev ring at distance `ring`
   /// buckets around q's bucket (ring 0 = the bucket itself).
   template <typename Fn>
   void visit_ring(Vec2 q, std::uint32_t ring, Fn&& fn) const {
-    const std::int64_t k = k_;
-    const std::int64_t bx = bucket_of(q.x);
-    const std::int64_t by = bucket_of(q.y);
-    auto visit_bucket = [&](std::int64_t cx, std::int64_t cy) {
-      const std::size_t b = static_cast<std::size_t>(((cx % k + k) % k) +
-                                                     ((cy % k + k) % k) * k);
-      for (std::uint32_t i = start_[b]; i < start_[b + 1]; ++i) {
-        fn(order_[i]);
-      }
-    };
-    const std::int64_t r = ring;
-    if (r == 0) {
-      visit_bucket(bx, by);
-      return;
-    }
-    // When the ring wraps past half the grid it would revisit buckets;
-    // callers never request such rings (ring_cover clamps), but guard anyway.
-    if (2 * r >= k) {
-      return;
-    }
-    for (std::int64_t dx = -r; dx <= r; ++dx) {
-      visit_bucket(bx + dx, by - r);
-      visit_bucket(bx + dx, by + r);
-    }
-    for (std::int64_t dy = -r + 1; dy <= r - 1; ++dy) {
-      visit_bucket(bx - r, by + dy);
-      visit_bucket(bx + r, by + dy);
-    }
+    for_each_ring_range(bucket_of(q.x), bucket_of(q.y), ring,
+                        [&](std::uint32_t begin, std::uint32_t end) {
+                          for (std::uint32_t i = begin; i < end; ++i) {
+                            fn(ids_[i]);
+                          }
+                        });
   }
 
   /// Minimum torus distance from q to any point of the ring-`ring` buckets
@@ -157,19 +180,16 @@ class SpatialGrid {
   [[nodiscard]] double ring_min_dist(Vec2 q, std::uint32_t ring) const noexcept;
 
   std::vector<Vec2> sites_;
-  std::uint32_t k_ = 1;             // buckets per axis
-  double cell_ = 1.0;               // bucket width = 1/k
-  std::vector<std::uint32_t> start_;  // CSR offsets, size k*k+1
-  std::vector<std::uint32_t> order_;  // site indices grouped by bucket
-  // SoA mirror of the bucket contents: bucket_x_[i]/bucket_y_[i] are the
-  // coordinates of site order_[i]. Candidate scans read these contiguously
-  // instead of gathering sites_[order_[i]].
-  std::vector<double> bucket_x_;
-  std::vector<double> bucket_y_;
-  // Branch-free axis wrap: wrap_[t + k_] == t mod k_ for t in [-k_, 2k_).
-  std::vector<std::uint32_t> wrap_;
-
-  friend class SpatialGridTestPeer;
+  std::uint32_t k_ = 1;   // buckets per axis
+  double cell_ = 1.0;     // bucket width = 1/k
+  // Padded rows: row r has padded columns 0..k_+1, where padded column p
+  // holds bucket column (p - 1) mod k_. row_start_[padded_slot(r, p)] is
+  // the first entry of that bucket; size k_ * (k_ + 2) + 1.
+  std::vector<std::uint32_t> row_start_;
+  // Entries (ghost copies included), contiguous per padded bucket.
+  std::vector<double> xs_;
+  std::vector<double> ys_;
+  std::vector<std::uint32_t> ids_;  // site index of each entry
 };
 
 /// O(n) reference nearest-neighbor for testing the grid.

@@ -132,7 +132,13 @@ Engine resolve_engine(const Scenario& sc) noexcept {
       sc.space == SpaceKind::kRing || sc.space == SpaceKind::kTorus;
   if (!geometric_bulk) return Engine::kScalar;
   const std::uint64_t m = sc.balls();
-  if (m >= (1ull << 22) && resolve_threads(sc.threads) >= 4) {
+  // Sharding pays only for the torus, whose owner search dominates a
+  // ball, and only for a lone trial, which leaves the trial pool's other
+  // threads idle. At n = 2^16, m = 2^22 on 4 threads it wins at 1 trial,
+  // ties at 2 and loses at 4; on the ring it never clearly wins (README's
+  // engine guide has the times).
+  if (sc.space == SpaceKind::kTorus && m >= (1ull << 22) && sc.trials == 1 &&
+      resolve_threads(sc.threads) >= 4) {
     return Engine::kSharded;
   }
   if (m >= 4096) return Engine::kBatched;

@@ -20,8 +20,8 @@
 //     TieBreak::kRandom is equal in distribution across engines.
 //   * Results are invariant to thread count for every engine.
 //
-// Engine::kAuto picks by space capability, ball count, and available
-// threads (see resolve_engine); the chosen engine is echoed in
+// Engine::kAuto picks by space capability, ball count, trial count, and
+// available threads (see resolve_engine); the chosen engine is echoed in
 // RunReport::spec, so a report is always reproducible by rerunning its
 // own resolved spec with an explicit engine.
 //
@@ -62,7 +62,7 @@ enum class Engine {
   kScalar,   // core::run_process — the reference oracle
   kBatched,  // core::run_batch_process — sample/resolve/place blocks
   kSharded,  // core::run_sharded_process — intra-trial parallelism
-  kAuto,     // pick by space capability + m + threads (resolve_engine)
+  kAuto,     // pick by space + m + trials + threads (resolve_engine)
 };
 
 /// How the experiment executes: structurally (the allocation engines walk
@@ -247,12 +247,12 @@ struct RunReport {
 /// everything; kAuto is always valid (it only picks supported engines).
 [[nodiscard]] bool engine_supports(Engine engine, SpaceKind space) noexcept;
 
-/// The engine kAuto resolves to: kSharded for ring/torus when a single
-/// trial is huge (m >= 2^22) and >= 4 threads are available, kBatched
-/// for ring/torus at m >= 4096 (measured 6x / 1.7x scalar), kScalar
-/// otherwise (uniform has no owner lookup to batch; the remaining
-/// spaces have no bulk kernels). Depends on hardware_concurrency only
-/// through the kSharded rule when spec.threads == 0.
+/// The engine kAuto resolves to: kSharded for a single huge torus trial
+/// (trials == 1, m >= 2^22) when >= 4 threads are available, kBatched for
+/// ring/torus at m >= 4096 (measured 5x / 2.3x scalar), kScalar otherwise
+/// (uniform has no owner lookup to batch; the remaining spaces have no
+/// bulk kernels). Depends on hardware_concurrency only through the
+/// kSharded rule when spec.threads == 0.
 [[nodiscard]] Engine resolve_engine(const Scenario& sc) noexcept;
 
 /// The worker count a kWire/kSim scenario with engine == kAuto and

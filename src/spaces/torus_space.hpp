@@ -49,12 +49,11 @@ class TorusSpace {
     return grid_.nearest(p);
   }
 
-  /// Bulk owner lookup via the grid's bucket-local batch resolver; result i
-  /// equals owner(ps[i]).
-  void owner_batch(std::span<const Location> ps, std::span<BinIndex> out,
-                   geometry::SpatialGrid::BatchScratch* scratch =
-                       nullptr) const {
-    grid_.nearest_batch(ps, out, scratch);
+  /// Bulk owner lookup through the grid's branch-free batch kernel
+  /// (SpatialGrid::nearest_batch); result i equals owner(ps[i]).
+  void owner_batch(std::span<const Location> ps,
+                   std::span<BinIndex> out) const {
+    grid_.nearest_batch(ps, out);
   }
 
   /// Shard of a location when the torus is cut into `k` equal horizontal

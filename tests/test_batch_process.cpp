@@ -5,6 +5,7 @@
 // invariance of the batched Monte-Carlo entry point.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -198,18 +199,70 @@ TEST(RingOwnerBatch, MatchesScalarOwner) {
 }
 
 TEST(NearestBatch, MatchesScalarNearest) {
-  gr::DefaultEngine gen(16);
-  for (const std::size_t n : {1u, 5u, 64u, 500u}) {
-    std::vector<gg::Vec2> sites(n);
-    for (auto& s : sites) s = {gr::uniform01(gen), gr::uniform01(gen)};
-    const gg::SpatialGrid grid(sites);
-    std::vector<gg::Vec2> qs(257);
-    for (auto& q : qs) q = {gr::uniform01(gen), gr::uniform01(gen)};
+  // Every batch result must equal nearest() and the brute-force reference
+  // by index, ties included (the lowest index wins).
+  auto expect_matches = [](const std::vector<gg::Vec2>& sites,
+                           std::uint32_t buckets_per_axis,
+                           const std::vector<gg::Vec2>& qs, const char* what) {
+    const gg::SpatialGrid grid(sites, buckets_per_axis);
     std::vector<std::uint32_t> got(qs.size());
-    gg::SpatialGrid::BatchScratch scratch;
-    grid.nearest_batch(qs, got, &scratch);
+    grid.nearest_batch(qs, got);
     for (std::size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(got[i], grid.nearest(qs[i])) << "n=" << n << " i=" << i;
+      const std::uint32_t want = gg::brute_force_nearest(sites, qs[i]);
+      EXPECT_EQ(got[i], want) << what << " n=" << sites.size()
+                              << " k=" << grid.buckets_per_axis()
+                              << " q=(" << qs[i].x << ", " << qs[i].y << ")";
+      EXPECT_EQ(grid.nearest(qs[i]), want) << what << " i=" << i;
     }
+  };
+  gr::DefaultEngine gen(16);
+  auto uniform = [&](std::size_t count) {
+    std::vector<gg::Vec2> pts(count);
+    for (auto& p : pts) p = {gr::uniform01(gen), gr::uniform01(gen)};
+    return pts;
+  };
+  // Queries on the seams land in the ghost columns and the wrapped rows.
+  const double below_one = std::nextafter(1.0, 0.0);
+  auto with_seams = [&](std::vector<gg::Vec2> qs) {
+    for (const double t : {0.0, 0.25, 0.5, below_one}) {
+      qs.push_back({0.0, t});
+      qs.push_back({below_one, t});
+      qs.push_back({t, 0.0});
+      qs.push_back({t, below_one});
+    }
+    return qs;
+  };
+
+  for (const std::size_t n : {1u, 5u, 64u, 500u}) {
+    expect_matches(uniform(n), 0, with_seams(uniform(257)), "uniform");
   }
+
+  // Exact duplicates, some on the seams: every distance ties its copy.
+  auto dup = uniform(200);
+  dup.push_back({0.0, 0.5});
+  dup.push_back({below_one, 0.25});
+  for (std::size_t i = 0; i < 100; ++i) {
+    const gg::Vec2 copy = dup[i * 2];
+    dup.push_back(copy);
+  }
+  dup.push_back({0.0, 0.5});
+  dup.push_back({below_one, 0.25});
+  auto dup_qs = with_seams(uniform(257));
+  dup_qs.insert(dup_qs.end(), dup.begin(), dup.end());
+  expect_matches(dup, 0, dup_qs, "duplicates");
+
+  // k = 1 and k = 3: the 3x3 block wraps onto itself.
+  for (const std::uint32_t k : {1u, 3u}) {
+    expect_matches(uniform(50), k, with_seams(uniform(257)), "explicit k");
+  }
+
+  // All sites in one corner: most queries need rings >= 2.
+  std::vector<gg::Vec2> clustered(500);
+  for (auto& s : clustered) {
+    s = {0.05 * gr::uniform01(gen), 0.05 * gr::uniform01(gen)};
+  }
+  expect_matches(clustered, 0, with_seams(uniform(257)), "clustered");
+
+  // One call with >= buckets/8 queries over a grid bigger than 256 KiB.
+  expect_matches(uniform(12000), 0, uniform(2048), "large call");
 }

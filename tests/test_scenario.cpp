@@ -172,8 +172,19 @@ TEST(Scenario, AutoResolutionRules) {
   sc.num_balls = 1 << 14;
   EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
   sc.num_balls = 1ull << 22;
+  sc.trials = 1;
+  EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);  // ring never shards
+
+  // The torus shards a single huge trial.
+  sc.space = gm::SpaceKind::kTorus;
   EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kSharded);
-  sc.threads = 1;  // sharding needs cores
+  sc.trials = 2;  // the trial pool runs them side by side instead
+  EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
+  sc.trials = 1;
+  sc.num_balls = (1ull << 22) - 1;
+  EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
+  sc.num_balls = 1ull << 22;
+  sc.threads = 2;  // sharding needs cores
   EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
 
   // Uniform has no owner lookup to batch; the non-bulk spaces have no
