@@ -8,7 +8,9 @@
 //   scenario --space=torus --engine=batched --n=4096 --d=2 --trials=50
 // prints the resolved spec, timing, percentiles, and the max-load
 // distribution; --csv=PATH / --json=PATH mirror the report to files.
-// All flags are the shared scenario set (sim::scenario_from_args).
+// All flags are the shared scenario set (sim::scenario_from_args). An
+// unknown flag or a combination sim::run rejects (say --model=wire on the
+// default ring space) prints the reason and exits 2.
 //
 // Matrix mode:
 //   scenario --matrix [--quick]
@@ -230,7 +232,13 @@ int main(int argc, char** argv) {
 
   if (matrix) return run_matrix(quick);
 
-  const auto report = gm::run(sc);
+  gm::RunReport report;
+  try {
+    report = gm::run(sc);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "scenario: %s\n", e.what());
+    return 2;
+  }
   std::fputs(gm::render_run_summary(report).c_str(), stdout);
 
   if (!csv_path.empty()) {

@@ -8,8 +8,9 @@
 //   1. sample  — fill a contiguous buffer with all block_size · d probe
 //                locations in one tight RNG loop (rng/block_sampler.hpp);
 //   2. resolve — map the whole buffer to owning bins with the space's bulk
-//                lookup (lockstep branchless binary search on the ring,
-//                branch-free 3x3 padded-row grid scan on the torus);
+//                lookup (a branch-free count inside the query's bucket of
+//                the ring's directory, branch-free 3x3 padded-row grid scan
+//                on the torus);
 //   3. place   — walk the resolved bins sequentially with the exact scalar
 //                tie-break semantics, prefetching upcoming load slots.
 //

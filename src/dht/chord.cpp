@@ -11,15 +11,9 @@ namespace geochoice::dht {
 
 ChordRing::ChordRing(std::vector<double> node_ids)
     : ids_(std::move(node_ids)) {
-  if (ids_.empty()) {
-    throw std::invalid_argument("ChordRing: need at least one node");
-  }
-  for (double id : ids_) {
-    if (!(id >= 0.0 && id < 1.0)) {
-      throw std::invalid_argument("ChordRing: ids must lie in [0, 1)");
-    }
-  }
-  std::sort(ids_.begin(), ids_.end());
+  // Validates and sorts; successor() searches the ids itself, so the
+  // bucket directory is not kept.
+  geometry::sort_ring_positions(ids_);
 }
 
 ChordRing ChordRing::random(std::size_t n, rng::DefaultEngine& gen) {

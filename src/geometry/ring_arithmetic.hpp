@@ -29,17 +29,48 @@ namespace geochoice::geometry {
 
 /// Index of the owner of location `x` among *sorted* ring positions:
 /// the greatest position <= x, wrapping to the last position when x precedes
-/// all of them. O(log n) branchless-friendly binary search.
+/// all of them. O(log n) binary search; the reference for ring_owner_batch.
 [[nodiscard]] std::size_t ring_owner(std::span<const double> sorted_positions,
                                      double x) noexcept;
 
+/// Bucket of a location x in [0, 1] when the circle is cut into `buckets`
+/// equal arcs ~[b/buckets, (b+1)/buckets): min(buckets - 1,
+/// floor(x * buckets)). Monotone in x, so the buckets of sorted positions
+/// are contiguous index ranges; x -> 1.0 rounding (and x == 1.0 itself)
+/// lands in the last bucket.
+[[nodiscard]] inline std::uint32_t ring_bucket(double x,
+                                               std::uint32_t buckets) noexcept {
+  const auto b = static_cast<std::uint32_t>(x * static_cast<double>(buckets));
+  return b >= buckets ? buckets - 1 : b;
+}
+
+/// Sorts ring positions in place and returns their bucket directory.
+///
+/// The n positions are bucket-sorted on ring_bucket(x, n), one expected
+/// position per bucket for a uniform ring, then each bucket of two or more
+/// is sorted with std::sort. The bucket is monotone in x, so the result is
+/// exactly sorted for any input and equals std::sort's bit for bit;
+/// clustered input degrades to O(n log n).
+/// The only allocation that outlives the call is the directory: n + 1
+/// entries, dir[b] = index of the first position in a bucket >= b, so
+/// bucket b holds the positions [dir[b], dir[b + 1]).
+///
+/// Throws std::invalid_argument for an empty vector or a position outside
+/// [0, 1) (NaN included).
+std::vector<std::uint32_t> sort_ring_positions(std::vector<double>& positions);
+
 /// Batched owner resolution: `out[i] = ring_owner(sorted_positions, xs[i])`
-/// for every query, but computed as branchless (cmov) binary searches run
-/// in lockstep groups with software prefetch of the next probe level. The
-/// group's independent loads overlap in the memory system, so throughput is
-/// several times the one-query-at-a-time search on position arrays that
-/// spill out of L1/L2. Requires xs.size() == out.size().
+/// for every query, through the `directory` that sort_ring_positions
+/// returned for these positions. Positions in an earlier bucket than x are
+/// all below it and positions in a later one all above, so the answer only
+/// needs a count of the positions <= x inside x's own bucket. One pass
+/// computes every query's bucket and prefetches its directory entry; a
+/// second prefetches ahead into the positions and counts each query's
+/// bucket without a branch over its first four entries (larger buckets,
+/// rare on a uniform ring, take a binary search). Queries must lie in
+/// [0, 1]; 1.0 lands in the last bucket. Requires xs.size() == out.size().
 void ring_owner_batch(std::span<const double> sorted_positions,
+                      std::span<const std::uint32_t> directory,
                       std::span<const double> xs,
                       std::span<std::uint32_t> out) noexcept;
 

@@ -1,12 +1,13 @@
 // shard_queues.hpp — per-worker gather queues for shard-routed batch work.
 //
-// The sharded allocation engine partitions the space into contiguous shards
-// and assigns each worker a contiguous range of shards. Per block, every
-// worker scans the block's probe buffer, gathers the probes whose shard it
-// owns into its private queue, resolves the queue against shard-local data
-// (a working set ~1/workers of the full structure), and scatters results
-// into the shared output by slot — each output slot has exactly one owner,
-// so the parallel phase is write-disjoint by construction.
+// The sharded allocation engine cuts the space into one contiguous shard
+// per worker. Per block, every worker scans the block's probe buffer,
+// gathers the probes of its shard into its private queue, resolves the
+// queue (reading a working set ~1/workers of the full structure), and
+// scatters results into the shared output by slot — each output slot has
+// exactly one owner, so the parallel phase is write-disjoint by
+// construction. The parallel network simulator gives each worker a
+// contiguous range of ring shards instead (shard_begin).
 #pragma once
 
 #include <cstddef>
@@ -15,25 +16,21 @@
 
 namespace geochoice::parallel {
 
-/// A worker's private gather queue: block slots it owns plus their payloads
-/// and shard keys, reused across blocks (clear() keeps capacity). Resolvers
-/// that want shard-major order counting-sort by `keys` into per-shard runs.
+/// A worker's private gather queue: block slots it owns plus their
+/// payloads, reused across blocks (clear() keeps capacity).
 template <typename Item>
 struct ShardQueue {
   std::vector<std::uint32_t> slots;  // positions in the source block
   std::vector<Item> items;           // gathered payloads, queue order
-  std::vector<std::uint32_t> keys;   // shard of each item, queue order
 
   void clear() noexcept {
     slots.clear();
     items.clear();
-    keys.clear();
   }
   [[nodiscard]] std::size_t size() const noexcept { return slots.size(); }
-  void push(std::uint32_t slot, const Item& item, std::uint32_t key) {
+  void push(std::uint32_t slot, const Item& item) {
     slots.push_back(slot);
     items.push_back(item);
-    keys.push_back(key);
   }
 };
 

@@ -1,24 +1,14 @@
 #include "spaces/ring_space.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <stdexcept>
+#include <utility>
 
 namespace geochoice::spaces {
 
 RingSpace::RingSpace(std::vector<double> positions)
-    : positions_(std::move(positions)) {
-  if (positions_.empty()) {
-    throw std::invalid_argument("RingSpace: need at least one server");
-  }
-  for (double p : positions_) {
-    if (!(p >= 0.0 && p < 1.0)) {
-      throw std::invalid_argument("RingSpace: positions must lie in [0, 1)");
-    }
-  }
-  std::sort(positions_.begin(), positions_.end());
-  arcs_ = geometry::arc_lengths(positions_);
-}
+    : positions_(std::move(positions)),
+      directory_(geometry::sort_ring_positions(positions_)),
+      arcs_(geometry::arc_lengths(positions_)) {}
 
 RingSpace RingSpace::random(std::size_t n, rng::DefaultEngine& gen) {
   std::vector<double> pos(n);

@@ -2,8 +2,11 @@
 //
 // n servers hashed uniformly onto a circle of circumference 1; server i
 // owns the counterclockwise arc from its position to the next server's
-// (consistent hashing). Owner lookup is a binary search over the sorted
-// positions; region measures are the arc lengths.
+// (consistent hashing). The positions are bucket-sorted into n buckets of
+// width 1/n, and the bucket starts are kept as a directory: a bulk owner
+// lookup counts inside the query's bucket, while owner() stays a binary
+// search over the sorted positions and serves as its reference. Region
+// measures are the arc lengths.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +55,11 @@ class RingSpace {
     return static_cast<BinIndex>(geometry::ring_owner(positions_, x));
   }
 
-  /// Bulk owner lookup: lockstep branchless binary search with prefetch;
-  /// result i equals owner(xs[i]).
+  /// Bulk owner lookup: a branch-free count inside each query's directory
+  /// bucket, with prefetch; result i equals owner(xs[i]).
   void owner_batch(std::span<const Location> xs,
                    std::span<BinIndex> out) const noexcept {
-    geometry::ring_owner_batch(positions_, xs, out);
+    geometry::ring_owner_batch(positions_, directory_, xs, out);
   }
 
   /// Arc length of bin `i` — its selection probability.
@@ -66,14 +69,10 @@ class RingSpace {
 
   /// Shard of a location when the circle is cut into `k` equal contiguous
   /// arcs ~[s/k, (s+1)/k): the spatial partition the sharded engine routes
-  /// probes by. Monotone in `x`, so shards of a sorted-position ring are
-  /// contiguous bin ranges; anything slicing positions into shards must use
-  /// this same comparison (arithmetic s/k boundaries disagree by one ULP
-  /// for some (s, k)).
+  /// probes by, and with k = n the bucket of the lookup directory.
   [[nodiscard]] static std::uint32_t shard_of(Location x,
                                               std::uint32_t k) noexcept {
-    const auto s = static_cast<std::uint32_t>(x * static_cast<double>(k));
-    return s >= k ? k - 1 : s;  // guard the x -> 1.0 rounding edge
+    return geometry::ring_bucket(x, k);
   }
 
   [[nodiscard]] std::span<const double> positions() const noexcept {
@@ -84,8 +83,9 @@ class RingSpace {
   }
 
  private:
-  std::vector<double> positions_;  // sorted
-  std::vector<double> arcs_;       // arcs_[i] = gap from positions_[i] to next
+  std::vector<double> positions_;          // sorted
+  std::vector<std::uint32_t> directory_;  // see sort_ring_positions
+  std::vector<double> arcs_;  // arcs_[i] = gap from positions_[i] to next
 };
 
 static_assert(GeometricSpace<RingSpace>);

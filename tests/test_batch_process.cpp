@@ -1,13 +1,18 @@
 // Tests for the batched d-choice engine: exact equivalence against the
 // scalar oracle under deterministic tie-breaks (shared location stream),
-// batched primitive correctness (ring_owner_batch, nearest_batch),
+// batched primitive correctness (sort_ring_positions, ring_owner_batch and
+// nearest_batch against brute force),
 // statistical agreement for the randomized tie-break, and thread-count
 // invariance of the batched Monte-Carlo entry point.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "core/core.hpp"
@@ -180,21 +185,174 @@ TEST(BatchProcess, RunBatchTrialsMatchesScalarTrialsDeterministicTie) {
   }
 }
 
+namespace {
+
+/// O(n) reference for the ring owner: the greatest position <= x, or the
+/// last position when x precedes all of them.
+std::uint32_t brute_ring_owner(const std::vector<double>& sorted, double x) {
+  auto best = static_cast<std::uint32_t>(sorted.size() - 1);
+  for (std::uint32_t i = 0; i < sorted.size(); ++i) {
+    if (sorted[i] <= x) best = i;
+  }
+  return best;
+}
+
+std::vector<double> uniform_ring(std::size_t n, gr::DefaultEngine& gen) {
+  std::vector<double> pos(n);
+  for (auto& p : pos) p = gr::uniform01(gen);
+  return pos;
+}
+
+/// n positions on the directory's bucket boundaries s/n, each nudged one
+/// ULP down, left exact, or nudged one ULP up.
+std::vector<double> boundary_ring(std::size_t n) {
+  std::vector<double> pos(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const double b = static_cast<double>(s) / static_cast<double>(n);
+    pos[s] = s == 0 || s % 3 == 1 ? b
+             : s % 3 == 0         ? std::nextafter(b, 0.0)
+                                  : std::nextafter(b, 1.0);
+  }
+  return pos;
+}
+
+/// Queries at the edges of `pos`'s ring: 0, every position and its ULP
+/// neighbours, every bucket boundary s/n and its ULP neighbours, the last
+/// double below 1, and 1.0 itself, which rng::fill_partitioned_ring's
+/// (j + u) / d can round up to.
+std::vector<double> edge_queries(const std::vector<double>& pos) {
+  const double n = static_cast<double>(pos.size());
+  std::vector<double> xs = {0.0, std::nextafter(1.0, 0.0), 1.0};
+  for (const double p : pos) {
+    xs.push_back(p);
+    if (p > 0.0) xs.push_back(std::nextafter(p, 0.0));
+    xs.push_back(std::nextafter(p, 1.0));
+  }
+  for (std::size_t s = 1; s < pos.size(); ++s) {
+    const double b = static_cast<double>(s) / n;
+    xs.push_back(b);
+    xs.push_back(std::nextafter(b, 0.0));
+    xs.push_back(std::nextafter(b, 1.0));
+  }
+  return xs;
+}
+
+/// Resolve `xs` over the ring of `positions` through the directory of
+/// sort_ring_positions and check every owner, by index, against
+/// RingSpace::owner, RingSpace::owner_batch and the O(n) reference (on a
+/// stride once all queries would cost more than ~2^24 steps).
+void expect_ring_owners(std::vector<double> positions,
+                        const std::vector<double>& xs, const char* what) {
+  const gs::RingSpace space(positions);
+  const std::vector<std::uint32_t> dir = gg::sort_ring_positions(positions);
+  std::vector<std::uint32_t> got(xs.size());
+  gg::ring_owner_batch(positions, dir, xs, got);
+  std::vector<gs::BinIndex> via_space(xs.size());
+  space.owner_batch(xs, via_space);
+  const std::size_t n = positions.size();
+  const std::size_t stride = std::max<std::size_t>(1, n * xs.size() >> 24);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_EQ(got[i], space.owner(xs[i]))
+        << what << " n=" << n << " x=" << xs[i];
+    ASSERT_EQ(via_space[i], got[i]) << what << " n=" << n << " x=" << xs[i];
+    if (i % stride == 0) {
+      ASSERT_EQ(got[i], brute_ring_owner(positions, xs[i]))
+          << what << " n=" << n << " x=" << xs[i];
+    }
+  }
+}
+
+}  // namespace
+
 TEST(RingOwnerBatch, MatchesScalarOwner) {
   gr::DefaultEngine gen(15);
-  for (const std::size_t n : {1u, 2u, 3u, 17u, 256u, 1000u}) {
-    const auto space = gs::RingSpace::random(n, gen);
-    std::vector<double> xs(513);
-    for (auto& x : xs) x = gr::uniform01(gen);
-    // Include the exact server positions and the wrap region as edge cases.
-    xs.push_back(space.positions().front());
-    xs.push_back(space.positions().back());
-    xs.push_back(0.0);
-    std::vector<std::uint32_t> got(xs.size());
-    gg::ring_owner_batch(space.positions(), xs, got);
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      EXPECT_EQ(got[i], space.owner(xs[i])) << "n=" << n << " x=" << xs[i];
+  for (const std::size_t n : {1u, 2u, 3u, 5u, 17u, 64u, 257u, 1000u,
+                              65536u}) {
+    const auto pos = uniform_ring(n, gen);
+    auto xs = edge_queries(pos);
+    for (int i = 0; i < 513; ++i) xs.push_back(gr::uniform01(gen));
+    expect_ring_owners(pos, xs, "uniform");
+    const auto edges = boundary_ring(n);
+    expect_ring_owners(edges, edge_queries(edges), "boundaries");
+  }
+}
+
+TEST(RingOwnerBatch, DuplicatesAndClusteredBuckets) {
+  // Duplicates resolve to their last copy, as upper_bound does; five
+  // copies fill one bucket past the branch-free four.
+  for (const std::vector<double>& pos :
+       {std::vector<double>{0.25, 0.25, 0.75},
+        std::vector<double>{0.5, 0.5, 0.5, 0.5, 0.5},
+        std::vector<double>{0.0, 0.0, 0.5, 0.5}}) {
+    expect_ring_owners(pos, edge_queries(pos), "duplicates");
+  }
+  // Buckets of 4, 5, 16, 17 and 40 positions among uniform filler: the
+  // branch-free count at its limit, and upper_bound past it.
+  gr::DefaultEngine gen(17);
+  const std::size_t n = 257;
+  std::vector<double> pos;
+  std::size_t bucket = 10;
+  for (const int size : {4, 5, 16, 17, 40}) {
+    for (int i = 0; i < size; ++i) {
+      const double u = 0.1 + 0.8 * gr::uniform01(gen);
+      pos.push_back((static_cast<double>(bucket) + u) /
+                    static_cast<double>(n));
     }
+    bucket += 45;
+  }
+  while (pos.size() < n) pos.push_back(gr::uniform01(gen));
+  expect_ring_owners(pos, edge_queries(pos), "clusters");
+  // Every position in one bucket: the whole ring is one upper_bound.
+  std::vector<double> one_bucket(1000);
+  for (auto& p : one_bucket) p = 0.3 + 1e-4 * gr::uniform01(gen);
+  expect_ring_owners(one_bucket, edge_queries(one_bucket), "one bucket");
+}
+
+TEST(SortRingPositions, MatchesStdSortAndIndexesBuckets) {
+  gr::DefaultEngine gen(18);
+  std::vector<std::vector<double>> inputs = {
+      {0.25, 0.25, 0.75}, {0.5, 0.5, 0.5, 0.5, 0.5}, {0.0}, {0.999, 0.0}};
+  for (const std::size_t n : {1u, 2u, 3u, 5u, 17u, 64u, 257u, 1000u,
+                              65536u}) {
+    inputs.push_back(uniform_ring(n, gen));
+    inputs.push_back(boundary_ring(n));
+  }
+  std::vector<double> clustered(1000);
+  for (auto& p : clustered) p = 0.7 + 1e-4 * gr::uniform01(gen);
+  inputs.push_back(clustered);
+  for (const auto& input : inputs) {
+    auto sorted = input;
+    const std::vector<std::uint32_t> dir = gg::sort_ring_positions(sorted);
+    auto want = input;
+    std::sort(want.begin(), want.end());
+    const std::size_t n = input.size();
+    ASSERT_EQ(sorted.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(sorted[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "n=" << n << " i=" << i;
+    }
+    // dir[b] is the first index in a bucket >= b, b = min(n-1, floor(x n)).
+    ASSERT_EQ(dir.size(), n + 1);
+    EXPECT_EQ(dir.front(), 0u);
+    EXPECT_EQ(dir.back(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto b = std::min<std::size_t>(
+          n - 1, static_cast<std::size_t>(sorted[i] * static_cast<double>(n)));
+      ASSERT_LE(dir[b], i) << "n=" << n << " i=" << i;
+      ASSERT_LT(i, dir[b + 1]) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(SortRingPositions, RejectsEmptyOutOfRangeAndNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::vector<double> bad :
+       {std::vector<double>{}, std::vector<double>{0.5, 1.0},
+        std::vector<double>{-0.1, 0.5}, std::vector<double>{0.2, nan},
+        std::vector<double>{std::nextafter(0.0, -1.0)},
+        std::vector<double>{0.3, std::numeric_limits<double>::infinity()}}) {
+    EXPECT_THROW(gg::sort_ring_positions(bad), std::invalid_argument);
   }
 }
 

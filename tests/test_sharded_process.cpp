@@ -1,11 +1,13 @@
 // Tests for the sharded d-choice engine: exact equivalence against the
 // scalar oracle under deterministic tie-breaks (shared location stream),
-// thread-count / shard-count / block-size invariance (deterministic AND
-// random tie-breaks — the sharded engine's tie substream is independent of
-// every sharding parameter), cross-shard probe handling on shard-starved
-// rings, and the Monte-Carlo entry point.
+// thread-count / block-size invariance (deterministic AND random
+// tie-breaks — the sharded engine's tie substream is independent of both),
+// cross-shard probe handling on shard-starved rings, and the Monte-Carlo
+// entry point. The engine cuts the space into one shard per worker, so the
+// thread count is also the shard count.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -28,18 +30,15 @@ gc::ProcessOptions opts(std::uint64_t m, int d, gc::TieBreak tie) {
   return o;
 }
 
-gc::ShardedOptions sharded(std::uint32_t shards, std::size_t threads,
-                           std::size_t block = 256) {
+gc::ShardedOptions sharded(std::size_t threads, std::size_t block = 256) {
   gc::ShardedOptions s;
-  s.shards = shards;
   s.threads = threads;
   s.block_balls = block;
   return s;
 }
 
 /// Scalar and sharded runs from identical engine states must produce
-/// bit-identical loads for deterministic tie-breaks, at any shard/thread
-/// count.
+/// bit-identical loads for deterministic tie-breaks, at any thread count.
 template <typename Space>
 void expect_exact_equivalence(const Space& space, const gc::ProcessOptions& o,
                               std::uint64_t seed,
@@ -49,7 +48,7 @@ void expect_exact_equivalence(const Space& space, const gc::ProcessOptions& o,
   const auto scalar = gc::run_process(space, o, scalar_gen);
   const auto shrd = gc::run_sharded_process(space, o, sharded_gen, s);
   EXPECT_EQ(scalar.loads, shrd.loads)
-      << "shards=" << s.shards << " threads=" << s.threads;
+      << "threads=" << s.threads << " block=" << s.block_balls;
   EXPECT_EQ(scalar.max_load, shrd.max_load);
   EXPECT_EQ(scalar.balls, shrd.balls);
 }
@@ -75,7 +74,7 @@ TEST(ShardedProcess, ExactEquivalenceRingAllDeterministicTies) {
                          gc::TieBreak::kSmallerRegion,
                          gc::TieBreak::kLargerRegion}) {
     for (const int d : {1, 2, 4}) {
-      expect_exact_equivalence(space, opts(2048, d, tie), 99, sharded(16, 2));
+      expect_exact_equivalence(space, opts(2048, d, tie), 99, sharded(2));
     }
   }
 }
@@ -84,9 +83,9 @@ TEST(ShardedProcess, ExactEquivalenceAcrossShardAndThreadGridRing) {
   gr::DefaultEngine setup(8);
   const auto space = gs::RingSpace::random(256, setup);
   const auto o = opts(1024, 2, gc::TieBreak::kFirstChoice);
-  for (const std::uint32_t shards : {1u, 4u, 64u}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      expect_exact_equivalence(space, o, 1234, sharded(shards, threads));
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    for (const std::size_t block : {100u, 256u}) {
+      expect_exact_equivalence(space, o, 1234, sharded(threads, block));
     }
   }
 }
@@ -95,9 +94,9 @@ TEST(ShardedProcess, ExactEquivalenceAcrossShardAndThreadGridTorus) {
   gr::DefaultEngine setup(9);
   const auto space = gs::TorusSpace::random(128, setup);
   const auto o = opts(512, 2, gc::TieBreak::kLowestIndex);
-  for (const std::uint32_t shards : {1u, 4u, 64u}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      expect_exact_equivalence(space, o, 4321, sharded(shards, threads));
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    for (const std::size_t block : {100u, 256u}) {
+      expect_exact_equivalence(space, o, 4321, sharded(threads, block));
     }
   }
 }
@@ -107,35 +106,36 @@ TEST(ShardedProcess, ExactEquivalenceRingPartitioned) {
   const auto space = gs::RingSpace::random(256, setup);
   gc::ProcessOptions o = opts(1024, 2, gc::TieBreak::kFirstChoice);
   o.scheme = gc::ChoiceScheme::kPartitioned;
-  expect_exact_equivalence(space, o, 55, sharded(8, 2, 128));
+  expect_exact_equivalence(space, o, 55, sharded(2, 128));
 }
 
 TEST(ShardedProcess, ExactEquivalenceUniformIdentityPath) {
   const gs::UniformSpace space(333);
   for (const auto tie :
        {gc::TieBreak::kFirstChoice, gc::TieBreak::kLowestIndex}) {
-    expect_exact_equivalence(space, opts(999, 3, tie), 77, sharded(4, 2, 100));
+    expect_exact_equivalence(space, opts(999, 3, tie), 77, sharded(2, 100));
   }
 }
 
-/// Shard-starved ring: far more shards than servers forces most probes
-/// through the cross-shard machinery (their shard holds no position at or
-/// below them, so the owner comes from the slice extension or the wrap
-/// fixup pass), which must still reproduce the scalar owner exactly —
-/// including the wrap to the last server for probes before the first one.
+/// Shard-starved ring: with more shards (workers) than servers, most
+/// probes land in a shard holding no position at or below them, so their
+/// owner sits in an earlier shard. The resolve must still reproduce the
+/// scalar owner exactly — including the wrap to the last server for probes
+/// before the first one.
 TEST(ShardedProcess, CrossShardProbesStillExact) {
   gr::DefaultEngine setup(11);
-  const auto space = gs::RingSpace::random(16, setup);
-  for (const std::uint32_t shards : {64u, 256u}) {
+  const auto space = gs::RingSpace::random(3, setup);
+  for (const std::size_t threads : {4u, 8u}) {
     expect_exact_equivalence(space,
                              opts(512, 2, gc::TieBreak::kFirstChoice), 66,
-                             sharded(shards, 4, 64));
+                             sharded(threads, 64));
   }
 }
 
 /// The engine's full-invariance promise: identical loads — hence identical
-/// max-load histograms — across every sharding parameter, for the random
-/// tie-break too (its tie substream is derived once, before sampling).
+/// max-load histograms — across thread counts and block sizes, for the
+/// random tie-break too (its tie substream is derived once, before
+/// sampling).
 TEST(ShardedProcess, RandomTieInvariantAcrossShardsThreadsAndBlocks) {
   gr::DefaultEngine setup(12);
   const auto ring = gs::RingSpace::random(128, setup);
@@ -151,20 +151,16 @@ TEST(ShardedProcess, RandomTieInvariantAcrossShardsThreadsAndBlocks) {
     return gc::run_sharded_process(torus, o, gen, s);
   };
 
-  const auto ring_ref = run_ring(sharded(1, 1, 64));
-  const auto torus_ref = run_torus(sharded(1, 1, 64));
-  for (const std::uint32_t shards : {1u, 4u, 64u}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      for (const std::size_t block : {64u, 200u, 512u}) {
-        const auto r = run_ring(sharded(shards, threads, block));
-        EXPECT_EQ(ring_ref.loads, r.loads)
-            << "ring shards=" << shards << " threads=" << threads
-            << " block=" << block;
-        const auto t = run_torus(sharded(shards, threads, block));
-        EXPECT_EQ(torus_ref.loads, t.loads)
-            << "torus shards=" << shards << " threads=" << threads
-            << " block=" << block;
-      }
+  const auto ring_ref = run_ring(sharded(1, 64));
+  const auto torus_ref = run_torus(sharded(1, 64));
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+    for (const std::size_t block : {64u, 200u, 512u}) {
+      const auto r = run_ring(sharded(threads, block));
+      EXPECT_EQ(ring_ref.loads, r.loads)
+          << "ring threads=" << threads << " block=" << block;
+      const auto t = run_torus(sharded(threads, block));
+      EXPECT_EQ(torus_ref.loads, t.loads)
+          << "torus threads=" << threads << " block=" << block;
     }
   }
 }
@@ -175,7 +171,7 @@ TEST(ShardedProcess, ConservesBallsAndRecordsHeights) {
   gc::ProcessOptions o = opts(500, 2, gc::TieBreak::kRandom);
   o.record_heights = true;
   gr::DefaultEngine gen(3);
-  const auto r = gc::run_sharded_process(space, o, gen, sharded(8, 2, 128));
+  const auto r = gc::run_sharded_process(space, o, gen, sharded(2, 128));
   const auto total =
       std::accumulate(r.loads.begin(), r.loads.end(), std::uint64_t{0});
   EXPECT_EQ(total, 500u);
@@ -188,7 +184,7 @@ TEST(ShardedProcess, ZeroBallsAndSingleBin) {
   const auto one = gs::RingSpace::equally_spaced(1);
   const auto empty =
       gc::run_sharded_process(one, opts(0, 2, gc::TieBreak::kFirstChoice),
-                              gen, sharded(4, 2));
+                              gen, sharded(2));
   EXPECT_EQ(empty.max_load, 0u);
   // Zero balls with an external pool: the engine must not leave orphaned
   // resolve tasks behind when it returns (they would reference dead stack
@@ -196,13 +192,12 @@ TEST(ShardedProcess, ZeroBallsAndSingleBin) {
   {
     geochoice::parallel::ThreadPool pool(2);
     const auto none = gc::run_sharded_process(
-        one, opts(0, 2, gc::TieBreak::kFirstChoice), gen, sharded(4, 2),
-        &pool);
+        one, opts(0, 2, gc::TieBreak::kFirstChoice), gen, sharded(2), &pool);
     EXPECT_EQ(none.max_load, 0u);
     pool.wait();  // nothing should be pending
   }
   const auto all = gc::run_sharded_process(
-      one, opts(100, 2, gc::TieBreak::kFirstChoice), gen, sharded(4, 2, 32));
+      one, opts(100, 2, gc::TieBreak::kFirstChoice), gen, sharded(2, 32));
   EXPECT_EQ(all.max_load, 100u);
   EXPECT_EQ(all.loads[0], 100u);
 }
@@ -213,7 +208,7 @@ TEST(ShardedProcess, ExternalPoolAndScratchReuse) {
   const auto o = opts(256, 2, gc::TieBreak::kFirstChoice);
   geochoice::parallel::ThreadPool pool(2);
   gc::ShardedScratch<geochoice::geometry::Vec2> scratch;
-  const auto s = sharded(8, 2, 100);
+  const auto s = sharded(2, 100);
   for (int rep = 0; rep < 3; ++rep) {
     gr::DefaultEngine scalar_gen(500 + rep);
     gr::DefaultEngine sharded_gen(500 + rep);
@@ -228,48 +223,49 @@ TEST(ShardedProcess, TrialsMatchSingleRuns) {
   gr::DefaultEngine setup(16);
   const auto space = gs::RingSpace::random(64, setup);
   const auto o = opts(256, 2, gc::TieBreak::kLowestIndex);
-  const auto trials = gc::run_sharded_trials(space, o, 8, 31337,
-                                             sharded(8, 2, 64));
+  const auto trials =
+      gc::run_sharded_trials(space, o, 8, 31337, sharded(2, 64));
   for (std::size_t t = 0; t < trials.size(); ++t) {
     auto gen = gr::make_trial_engine(31337, t);
     const auto scalar = gc::run_process(space, o, gen);
     EXPECT_EQ(scalar.loads, trials[t].loads) << "trial " << t;
   }
   const auto maxima =
-      gc::sharded_max_loads(space, o, 8, 31337, sharded(8, 2, 64));
+      gc::sharded_max_loads(space, o, 8, 31337, sharded(2, 64));
   for (std::size_t t = 0; t < trials.size(); ++t) {
     EXPECT_EQ(maxima[t], trials[t].max_load) << "trial " << t;
   }
 }
 
-/// Routing/slicing consistency at boundary-ULP doubles: for shard counts
-/// like 49, the double nearest s/k can land on the far side of shard_of's
-/// floor(x*k) — e.g. shard_of(1.0/49, 49) == 0 while 1.0/49 >= fl(1/49).
-/// The routing table must file every server position in exactly the slice
-/// that shard_of routes probes to, or a probe colliding with such a
-/// position resolves against a slice that excludes its true owner
-/// (regression test for the lower_bound-vs-shard_of mismatch).
+/// Routing at boundary-ULP doubles: for grids like k = 49, the double
+/// nearest s/k can land on the far side of shard_of's floor(x*k) — e.g.
+/// shard_of(1.0/49, 49) == 0 while 1.0/49 >= fl(1/49). Server positions
+/// pinned to such grids, and to each worker boundary s/threads with its
+/// one-ULP neighbours, must not change any owner: whichever worker's shard
+/// a probe is routed to, it resolves to the scalar oracle's owner.
 TEST(ShardedProcess, RoutingSlicesAgreeWithShardOfAtBoundaryULPs) {
   for (const std::uint32_t k : {49u, 100u, 7u}) {
-    // Positions pinned to the exact boundary doubles, plus fillers.
-    std::vector<double> pos;
-    for (std::uint32_t s = 0; s < k; ++s) {
-      pos.push_back(static_cast<double>(s) / static_cast<double>(k));
+    for (const std::size_t threads : {2u, 4u, 5u, 7u}) {
+      // Positions pinned to the exact grid doubles, the worker boundaries
+      // and their neighbours, plus fillers.
+      std::vector<double> pos;
+      for (std::uint32_t s = 0; s < k; ++s) {
+        pos.push_back(static_cast<double>(s) / static_cast<double>(k));
+      }
+      for (std::size_t w = 1; w < threads; ++w) {
+        const double b =
+            static_cast<double>(w) / static_cast<double>(threads);
+        pos.push_back(std::nextafter(b, 0.0));
+        pos.push_back(b);
+        pos.push_back(std::nextafter(b, 1.0));
+      }
+      pos.push_back(0.0051);
+      pos.push_back(0.9973);
+      const gs::RingSpace ring(pos);
+      expect_exact_equivalence(ring,
+                               opts(4096, 2, gc::TieBreak::kFirstChoice),
+                               1234, sharded(threads, 512));
     }
-    pos.push_back(0.0051);
-    pos.push_back(0.9973);
-    const gs::RingSpace ring(pos);
-    const auto routing = gc::detail::make_shard_routing(ring, k);
-    const auto positions = ring.positions();
-    for (std::uint32_t i = 0; i < positions.size(); ++i) {
-      const std::uint32_t s = gs::RingSpace::shard_of(positions[i], k);
-      EXPECT_GE(i, routing.ring_shard_first[s]) << "k=" << k << " i=" << i;
-      EXPECT_LT(i, routing.ring_shard_first[s + 1]) << "k=" << k << " i=" << i;
-    }
-    // End-to-end: probes drawn over a ring whose positions sit on the
-    // boundaries must still match the scalar oracle bit-for-bit.
-    expect_exact_equivalence(ring, opts(4096, 2, gc::TieBreak::kFirstChoice),
-                             1234, sharded(k, 2, 512));
   }
 }
 
