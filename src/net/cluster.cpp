@@ -82,6 +82,8 @@ ClusterResult run_loopback_cluster(const ClusterConfig& cfg) {
     result.malformed += t->malformed();
     result.send_calls += t->send_calls();
     result.self_delivered += t->self_delivered();
+    result.recv_calls += t->recv_calls();
+    result.datagrams_in += t->datagrams_in();
   }
   for (const auto& n : nodes) {
     result.stale_reads += n.stale_reads();

@@ -43,6 +43,11 @@ struct ClusterResult {
   std::uint64_t send_calls = 0;
   /// Sends a transport delivered to its own node without the socket.
   std::uint64_t self_delivered = 0;
+  /// recvmsg calls that returned a datagram, across all transports; fewer
+  /// than datagrams_in when bundles arrived whole (UDP GRO).
+  std::uint64_t recv_calls = 0;
+  /// Segments read from the sockets, malformed ones included.
+  std::uint64_t datagrams_in = 0;
   /// Placements the owners observed landing on stale load information.
   std::uint64_t stale_reads = 0;
   /// Distinct keys holding a value across all node stores after the run

@@ -13,8 +13,9 @@
 //   * UdpTransport (udp_transport.hpp): the real world. Sending encodes
 //     the message with the fixed wire codec (wire.hpp) into a buffer per
 //     destination node; each poll() drains the socket, then writes every
-//     buffer as one sendmsg the kernel cuts into one UDP datagram per
-//     frame (UDP GSO). A message a node addresses to itself stays
+//     buffer as one UDP GSO sendmsg. The receiver (UDP GRO) reads the
+//     bundle whole and cuts it into frames by the segment size the
+//     kernel reports. A message a node addresses to itself stays
 //     in-process, handled within the same poll(). Delivery order and
 //     timing are whatever the kernel and the network do, and timers come
 //     from a timer wheel against the monotonic clock.

@@ -7,6 +7,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <ctime>
@@ -37,25 +38,56 @@ namespace {
   return a;
 }
 
+[[nodiscard]] bool enable_gro(int fd) noexcept {
+  const int on = 1;
+  return setsockopt(fd, SOL_UDP, UDP_GRO, &on, sizeof(on)) == 0;
+}
+
+/// One unbound UDP_GRO socket, open from the first transport's
+/// construction to process exit, so the kernel's UDP encap static key
+/// never drops to zero between transports (see udp_transport.hpp).
+/// Best effort: without it sockets still work, they open and close slower.
+class GroKeyHolder {
+ public:
+  GroKeyHolder() : fd_(socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0)) {
+    if (fd_ >= 0 && !enable_gro(fd_)) {
+      close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~GroKeyHolder() {
+    if (fd_ >= 0) close(fd_);
+  }
+  GroKeyHolder(const GroKeyHolder&) = delete;
+  GroKeyHolder& operator=(const GroKeyHolder&) = delete;
+
+ private:
+  int fd_;
+};
+
+void hold_gro_key() { static const GroKeyHolder holder; }
+
 }  // namespace
 
 UdpTransport::UdpTransport(std::uint32_t self, std::uint16_t port)
     : self_(self), epoch_ns_(monotonic_ns()) {
+  hold_gro_key();
   fd_ = socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd_ < 0) throw_errno("UdpTransport: socket");
-  sockaddr_in addr = to_sockaddr(Endpoint{0x7f000001u, port});
-  if (bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+  const auto fail = [this](const char* what) {
     const int saved = errno;
     close(fd_);
     errno = saved;
-    throw_errno("UdpTransport: bind");
+    throw_errno(what);
+  };
+  if (!enable_gro(fd_)) fail("UdpTransport: setsockopt(UDP_GRO)");
+  sockaddr_in addr = to_sockaddr(Endpoint{0x7f000001u, port});
+  if (bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    fail("UdpTransport: bind");
   }
   socklen_t len = sizeof(addr);
   if (getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    const int saved = errno;
-    close(fd_);
-    errno = saved;
-    throw_errno("UdpTransport: getsockname");
+    fail("UdpTransport: getsockname");
   }
   port_ = ntohs(addr.sin_port);
 }
@@ -106,20 +138,56 @@ void UdpTransport::wait_readable(int timeout_ms) {
 }
 
 bool UdpTransport::recv_one(Message& out) {
-  std::uint8_t buf[wire::kFrameSize + 16];  // oversized frames must fail decode
   for (;;) {
-    const ssize_t n = recvfrom(fd_, buf, sizeof(buf), 0, nullptr, nullptr);
+    while (rx_pos_ < rx_len_) {
+      const std::size_t len = std::min(rx_segment_, rx_len_ - rx_pos_);
+      const std::uint8_t* segment = rx_ + rx_pos_;
+      rx_pos_ += len;
+      ++datagrams_in_;
+      if (auto decoded = wire::decode(segment, len)) {
+        out = *decoded;
+        return true;
+      }
+      ++malformed_;  // hostile or truncated segment: drop, keep serving
+    }
+    if (!refill()) return false;
+  }
+}
+
+bool UdpTransport::refill() {
+  rx_pos_ = rx_len_ = 0;
+  for (;;) {
+    iovec iov{rx_, sizeof(rx_)};
+    alignas(cmsghdr) unsigned char control[CMSG_SPACE(sizeof(int))]{};
+    msghdr msg{};
+    msg.msg_iov = &iov;
+    msg.msg_iovlen = 1;
+    msg.msg_control = control;
+    msg.msg_controllen = sizeof(control);
+    const ssize_t n = recvmsg(fd_, &msg, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
-      throw_errno("UdpTransport: recvfrom");
+      throw_errno("UdpTransport: recvmsg");
     }
-    auto decoded = wire::decode(buf, static_cast<std::size_t>(n));
-    if (!decoded) {
+    ++recv_calls_;
+    // Empty, or longer than any bundle a transport writes: one foreign
+    // datagram, counted once.
+    if (n == 0 || (msg.msg_flags & MSG_TRUNC) != 0) {
+      ++datagrams_in_;
       ++malformed_;
-      continue;  // hostile or truncated datagram: drop, keep serving
+      continue;
     }
-    out = *decoded;
+    rx_len_ = static_cast<std::size_t>(n);
+    // A GRO bundle reports its segment size, the only cmsg this socket
+    // asks for; a plain datagram is one segment.
+    rx_segment_ = rx_len_;
+    const cmsghdr* c = CMSG_FIRSTHDR(&msg);
+    if (c != nullptr && c->cmsg_level == SOL_UDP && c->cmsg_type == UDP_GRO) {
+      int segment = 0;
+      std::memcpy(&segment, CMSG_DATA(c), sizeof(segment));
+      if (segment > 0) rx_segment_ = static_cast<std::size_t>(segment);
+    }
     return true;
   }
 }

@@ -1,7 +1,9 @@
 // wire.hpp — the fixed little-endian wire codec for net::Message.
 //
-// One datagram carries exactly one message; every field of Message
-// (message.hpp) has a fixed offset in a 64-byte frame, so encode/decode
+// One 64-byte frame carries exactly one message. A datagram is one
+// frame, or a UDP GSO bundle of frames that the receiver cuts by the
+// segment size the kernel reports (udp_transport.hpp). Every field of
+// Message (message.hpp) has a fixed offset in the frame, so encode/decode
 // are straight byte shuffles with no varint or length-prefix logic. The
 // format is versioned: a decoder that sees a magic or version it does
 // not speak rejects the frame instead of guessing, which is what lets a

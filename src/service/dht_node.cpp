@@ -22,6 +22,9 @@
 // Flags (shared): --nodes, --port-base, --seed, --trial, --choices,
 // --tie (first|lowest|random), --keys, --lookups, --gets, --zipf,
 // --window, --retransmit-ms, --timeout-ms, --heartbeat-ms (0 = off).
+// Every node's port (port-base + id) must be in [1, 65535], and --id,
+// --window and --choices must fit their types; otherwise dht_node exits
+// 2 before it forks.
 // --gets=N makes the driver write every placed key's value to its owner
 // and then issue N Zipf-popular reads (--zipf exponent, 0 = uniform);
 // the nodes serve both from their HashStores.
@@ -29,6 +32,7 @@
 // Observability: with --heartbeat-ms=N every process prints a one-line
 // stats heartbeat to stderr every N ms of transport time; SIGUSR1 dumps
 // the same line immediately (servers and the driver both install it).
+#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -82,16 +86,27 @@ void print_stats(const char* why, std::uint32_t id,
                  const net::NodeLogic<net::UdpTransport>& node) {
   std::fprintf(stderr,
                "dht_node[%u] %s: t=%llums datagrams_out=%llu "
-               "malformed=%llu send_calls=%llu self_delivered=%llu load=%u "
-               "keys_stored=%llu\n",
+               "malformed=%llu send_calls=%llu self_delivered=%llu "
+               "recv_calls=%llu datagrams_in=%llu load=%u keys_stored=%llu\n",
                id, why,
                static_cast<unsigned long long>(transport.now_ms()),
                static_cast<unsigned long long>(transport.links().total),
                static_cast<unsigned long long>(transport.malformed()),
                static_cast<unsigned long long>(transport.send_calls()),
                static_cast<unsigned long long>(transport.self_delivered()),
+               static_cast<unsigned long long>(transport.recv_calls()),
+               static_cast<unsigned long long>(transport.datagrams_in()),
                node.load(),
                static_cast<unsigned long long>(node.keys_stored()));
+}
+
+/// False, after saying why on stderr, when --`flag`'s value exceeds `max`.
+bool fits(const char* flag, std::uint64_t value, std::uint64_t max) {
+  if (value <= max) return true;
+  std::fprintf(stderr, "dht_node: --%s=%llu does not fit (max %llu)\n", flag,
+               static_cast<unsigned long long>(value),
+               static_cast<unsigned long long>(max));
+  return false;
 }
 
 dht::ChordRing make_ring(const Options& opt) {
@@ -203,7 +218,7 @@ int drive(const Options& opt) {
               "get_misses=%llu max_load=%u keys_stored=%llu "
               "retransmits=%llu data_retransmits=%llu census_retries=%llu "
               "datagrams_out=%llu malformed=%llu send_calls=%llu "
-              "self_delivered=%llu\n",
+              "self_delivered=%llu recv_calls=%llu datagrams_in=%llu\n",
               opt.nodes, static_cast<unsigned long long>(r.inserts),
               static_cast<unsigned long long>(r.lookups),
               static_cast<unsigned long long>(r.puts),
@@ -216,7 +231,9 @@ int drive(const Options& opt) {
               static_cast<unsigned long long>(transport.links().total),
               static_cast<unsigned long long>(transport.malformed()),
               static_cast<unsigned long long>(transport.send_calls()),
-              static_cast<unsigned long long>(transport.self_delivered()));
+              static_cast<unsigned long long>(transport.self_delivered()),
+              static_cast<unsigned long long>(transport.recv_calls()),
+              static_cast<unsigned long long>(transport.datagrams_in()));
   std::printf("insert_latency_us: mean=%.1f p50=%.1f p90=%.1f p99=%.1f\n",
               r.insert_latency_us.mean(), r.insert_latency_us_q.value(0),
               r.insert_latency_us_q.value(1), r.insert_latency_us_q.value(2));
@@ -279,17 +296,16 @@ int main(int argc, char** argv) {
     const bool cluster = args.has("cluster");
     opt.nodes = cluster ? args.get_u64("cluster", opt.nodes)
                         : args.get_u64("nodes", opt.nodes);
-    opt.id = static_cast<std::uint32_t>(args.get_u64("id", 0));
-    opt.port_base =
-        static_cast<std::uint16_t>(args.get_u64("port-base", opt.port_base));
+    const std::uint64_t id = args.get_u64("id", 0);
+    const std::uint64_t port_base = args.get_u64("port-base", opt.port_base);
     opt.seed = args.get_u64("seed", opt.seed);
     opt.trial = args.get_u64("trial", opt.trial);
     opt.keys = args.get_u64("keys", opt.keys);
     opt.lookups = args.get_u64("lookups", opt.lookups);
     opt.gets = args.get_u64("gets", opt.gets);
     opt.zipf = args.get_double("zipf", opt.zipf);
-    opt.choices = static_cast<int>(args.get_u64("choices", 2));
-    opt.window = static_cast<std::uint32_t>(args.get_u64("window", 1));
+    const std::uint64_t choices = args.get_u64("choices", 2);
+    const std::uint64_t window = args.get_u64("window", 1);
     opt.tie = core::tie_break_from_string(args.get_string("tie", "first"));
     opt.retransmit_ms = args.get_u64("retransmit-ms", opt.retransmit_ms);
     opt.timeout_ms = args.get_u64("timeout-ms", opt.timeout_ms);
@@ -302,6 +318,22 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "dht_node: need at least one node\n");
       return 2;
     }
+    if (!fits("id", id, UINT32_MAX) || !fits("window", window, UINT32_MAX) ||
+        !fits("choices", choices, INT_MAX)) {
+      return 2;
+    }
+    // Node i binds port-base + i: every node's port must be in [1, 65535].
+    if (port_base == 0 || port_base > 65535 || opt.nodes > 65536 - port_base) {
+      std::fprintf(stderr,
+                   "dht_node: --port-base=%llu leaves %zu nodes no room in "
+                   "ports [1, 65535]\n",
+                   static_cast<unsigned long long>(port_base), opt.nodes);
+      return 2;
+    }
+    opt.id = static_cast<std::uint32_t>(id);
+    opt.port_base = static_cast<std::uint16_t>(port_base);
+    opt.choices = static_cast<int>(choices);
+    opt.window = static_cast<std::uint32_t>(window);
     if (opt.id >= opt.nodes) {
       std::fprintf(stderr, "dht_node: --id must be < --nodes\n");
       return 2;

@@ -264,6 +264,7 @@ TEST(UdpCluster, Window32ServesEveryOp) {
   const std::uint64_t frames_written = real.datagrams - real.self_delivered;
   EXPECT_GT(real.self_delivered, 0u);
   EXPECT_LT(real.send_calls, frames_written);  // bundles were written
+  EXPECT_LT(real.recv_calls, real.datagrams_in);  // ... and read whole
 }
 
 TEST(UdpCluster, SingleNodeClusterServesItself) {

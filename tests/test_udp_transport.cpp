@@ -1,8 +1,10 @@
 // test_udp_transport.cpp — UdpTransport's batching contract on real
 // loopback sockets: send() only queues, poll() drains the socket and
-// then writes one (GSO) sendmsg per destination, self-addressed messages
-// never reach the socket, and anything that is not exactly one 64-byte
-// frame per datagram is counted as malformed and dispatched to nobody.
+// then writes one (GSO) sendmsg per destination, the receiver reads each
+// bundle whole (GRO) and cuts it by the segment size the kernel reports,
+// self-addressed messages never reach the socket, and any segment that
+// is not exactly one 64-byte frame is counted as malformed and
+// dispatched to nobody.
 //
 // Sandboxes without socket permission skip (std::system_error from
 // socket/bind), like UdpCluster.*.
@@ -143,6 +145,9 @@ TEST(UdpTransport, SendsPastTheOutboxCapArriveCompleteAndInOrder) {
   }
   EXPECT_EQ(p.a->links().total, kSends);
   EXPECT_EQ(p.a->self_delivered(), 0u);
+  // Each bundle arrived whole: one recvmsg per sendmsg.
+  EXPECT_EQ(p.b->recv_calls(), 3u);
+  EXPECT_EQ(p.b->datagrams_in(), kSends);
   EXPECT_EQ(p.b->malformed(), 0u);
   EXPECT_EQ(p.a->malformed(), 0u);
 }
@@ -231,6 +236,70 @@ TEST(UdpTransport, ForeignGsoSegmentsAreMalformedOncePerSegment) {
 
   const std::vector<Message> got = receive(*p.a, 4, /*malformed=*/true);
   EXPECT_EQ(p.a->malformed(), 4u);
+  EXPECT_TRUE(got.empty());
+}
+
+TEST(UdpTransport, ForeignBundleTailIsOneMalformedSegment) {
+  Pair p;
+  if (!bind_pair(p)) GTEST_SKIP() << "loopback sockets unavailable";
+  RawSocket raw;
+  // Two frames and a 10-byte tail in one 64-byte-segment bundle: the
+  // frames are dispatched in order, the short last segment is malformed.
+  constexpr std::size_t kTail = 10;
+  std::uint8_t bytes[2 * net::wire::kFrameSize + kTail]{};
+  const net::wire::Frame f0 = net::wire::encode(put_to(0, 1));
+  const net::wire::Frame f1 = net::wire::encode(put_to(0, 2));
+  std::memcpy(bytes, f0.data(), f0.size());
+  std::memcpy(bytes + f0.size(), f1.data(), f1.size());
+  ASSERT_EQ(raw.send(p.a->port(), bytes, sizeof(bytes),
+                     static_cast<std::uint16_t>(net::wire::kFrameSize)),
+            0);
+
+  const std::vector<Message> got = receive(*p.a, 1, /*malformed=*/true);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].op, 1u);
+  EXPECT_EQ(got[1].op, 2u);
+  EXPECT_EQ(p.a->malformed(), 1u);
+  EXPECT_EQ(p.a->recv_calls(), 1u);
+  EXPECT_EQ(p.a->datagrams_in(), 3u);
+}
+
+TEST(UdpTransport, EmptyDatagramIsMalformedOnce) {
+  Pair p;
+  if (!bind_pair(p)) GTEST_SKIP() << "loopback sockets unavailable";
+  RawSocket raw;
+  const std::uint8_t none = 0;
+  ASSERT_EQ(raw.send(p.a->port(), &none, 0), 0);
+
+  const std::vector<Message> got = receive(*p.a, 1, /*malformed=*/true);
+  EXPECT_EQ(p.a->malformed(), 1u);
+  EXPECT_TRUE(got.empty());
+  // The drain moved past it: a zero-timeout poll returns at once and
+  // counts nothing more.
+  p.a->poll(0, [](const Message&) {}, [](const Message&) {});
+  EXPECT_EQ(p.a->malformed(), 1u);
+  EXPECT_EQ(p.a->recv_calls(), 1u);
+}
+
+TEST(UdpTransport, TruncatedDatagramIsMalformedOnce) {
+  Pair p;
+  if (!bind_pair(p)) GTEST_SKIP() << "loopback sockets unavailable";
+  RawSocket raw;
+  // Datagrams longer than any bundle a transport writes: the receive
+  // buffer cuts them (MSG_TRUNC), and each counts once, not once per
+  // segment. First a plain one, then a bundle of 100-byte segments.
+  std::vector<std::uint8_t> big(6000);
+  const net::wire::Frame f = net::wire::encode(put_to(0, 3));
+  for (std::size_t off = 0; off + f.size() <= big.size(); off += f.size()) {
+    std::memcpy(big.data() + off, f.data(), f.size());
+  }
+  ASSERT_EQ(raw.send(p.a->port(), big.data(), big.size()), 0);
+  ASSERT_EQ(raw.send(p.a->port(), big.data(), big.size(), 100), 0);
+
+  const std::vector<Message> got = receive(*p.a, 2, /*malformed=*/true);
+  p.a->poll(0, [](const Message&) {}, [](const Message&) {});
+  EXPECT_EQ(p.a->malformed(), 2u);
+  EXPECT_EQ(p.a->recv_calls(), 2u);
   EXPECT_TRUE(got.empty());
 }
 
