@@ -22,14 +22,10 @@
 //   --lookups=4096    measurement lookups after the inserts drain
 //   --trials=20       independent rings
 //   --seed=...        master seed
-//   --threads=0       trial parallelism (0 = hardware)
-//   --workers=0       in-trial engine parallelism: 0 = sequential
-//                     NetSimulator; K >= 1 = ParallelNetSimulator with K
-//                     barrier workers per trial (bit-identical results;
-//                     needs a latency model with a positive minimum)
-//   --shards=0        ring shards for the parallel engine (0 = 4/worker)
+//   --threads=0       trial parallelism (0 = hardware); each trial is one
+//                     sequential NetSimulator run
 //   --transport=sim   sim | udp (udp runs every trial on a real loopback
-//                     UDP cluster; latency/workers/shards do not apply)
+//                     UDP cluster; the latency flags do not apply)
 //   --csv=PATH        also append one metrics row per run to PATH
 //
 // Sweep mode (the ROADMAP stale-information study, self-contained):
@@ -44,6 +40,7 @@
 // --window/--latency/--lat-a/--lat-b are the swept axes and are rejected.
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -150,6 +147,10 @@ int main(int argc, char** argv) {
       gm::CsvWriter csv(csv_path, gm::net_csv_header());
       csv.row(gm::net_csv_row(gm::net_scenario_config(sc), result));
     }
+  } catch (const std::invalid_argument& e) {
+    // A spec sim::run rejects (say a non-finite latency) is a usage error.
+    std::fprintf(stderr, "net_sim: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "net_sim: %s\n", e.what());
     return 1;

@@ -12,7 +12,10 @@
 //   * net_vs_structural    — wire inserts/sec over TwoChoiceDht::insert
 //                            (the structural engine doing the same probes
 //                            without messages); machine-independent, so
-//                            it is the metric bench/baseline.json floors.
+//                            it is the metric bench/baseline.json floors,
+//   * obs_overhead         — wire inserts/sec with the obs registry on over
+//                            off, median of adjacent off/on pairs; also
+//                            floored.
 //
 // The JSON records hw_threads (like sharded_throughput) so perf-gate skips
 // and cross-runner comparisons stay auditable.
@@ -91,97 +94,36 @@ int main(int argc, char** argv) {
   // --- obs overhead: the identical run with the registry live (runtime
   // toggle on, counters recording, no trace recorder — the "--obs with
   // nobody watching" configuration). The zero-cost-when-off design claim,
-  // floored in bench/baseline.json. Machine drift on shared runners swamps
-  // the ~1% effect a single A/B comparison sees, so the ratio is the
-  // median of three interleaved off/on pairs: each pair compares adjacent
-  // runs (drift cancels) and the median rejects an outlier pair.
+  // floored in bench/baseline.json. Host drift swamps the ~1% effect a
+  // single A/B comparison sees, so the ratio is the median over
+  // kObsPairs adjacent off/on pairs: each pair compares neighbouring runs
+  // (drift cancels), the side that runs first alternates from pair to
+  // pair (so a drift in one direction does not favour one side), and the
+  // median rejects outlier pairs.
   const auto wire_once = [&] {
     gn::NetSimulator sim(ring, cfg);
     if (sim.run().max_load == 0) std::abort();
   };
-  double obs_ratios[3];
+  constexpr int kObsPairs = 15;
+  constexpr int kObsReps = 3;  // per side of a pair, median taken
+  std::vector<double> obs_ratios;
   gb::Measurement obs_row;
-  for (double& ratio : obs_ratios) {
-    const auto off = gb::measure("NetTwoChoice/wire", 0, m, 0, reps,
-                                 wire_once);
-    go::set_enabled(true);
-    obs_row = gb::measure("NetTwoChoice/wire+obs", 0, m, 0, reps, wire_once);
-    go::set_enabled(false);
-    ratio = obs_row.items_per_sec / off.items_per_sec;
-  }
-  std::sort(std::begin(obs_ratios), std::end(obs_ratios));
-  const double obs_overhead = go::compiled_in() ? obs_ratios[1] : 1.0;
-  ms.push_back(obs_row);
-
-  // --- conservative parallel engine: events/sec per worker count.
-  // Worker count 1 runs the full windowing machinery (min_time bounds,
-  // mailboxes, inline fills) with zero threads — the pure-overhead row the
-  // perf gate holds to <= 15% vs the sequential engine. Higher counts are
-  // the scaling rows; their floors are hw-gated (min_hw_threads) so a
-  // starved runner skips instead of flaking.
-  std::vector<std::size_t> worker_counts{1, 2};
-  const std::size_t hw = std::thread::hardware_concurrency() == 0
-                             ? 1
-                             : std::thread::hardware_concurrency();
-  for (std::size_t w = 4; w <= hw; w *= 2) worker_counts.push_back(w);
-
-  double par_t1_events_per_sec = 0.0;
-  double par_t2_events_per_sec = 0.0;
-  double par_best_events_per_sec = 0.0;
-  std::uint64_t windows = 0;
-  std::uint64_t crew_tasks = 0;
-  for (const std::size_t w : worker_counts) {
-    std::uint64_t par_events = 0;
-    const auto row =
-        gb::measure("ParallelNet/wire", w, m, warmup, reps, [&] {
-          gn::ParallelNetSimulator sim(ring, cfg, {w, 0});
-          const auto r = sim.run();
-          par_events = r.events;
-          // Window and crew-task counts are pure functions of
-          // (seed, config) — the same at every worker count — so reading
-          // them off any rep instruments the whole sweep for free.
-          windows = sim.window_count();
-          crew_tasks = sim.crew_task_count();
-          if (r.max_load == 0) std::abort();
-        });
-    if (par_events != events) std::abort();  // engines must agree exactly
-    gb::Measurement par_row;
-    par_row.name = "ParallelNet/events";
-    par_row.threads = w;
-    par_row.items_per_sec = row.items_per_sec *
-                            static_cast<double>(events) /
-                            static_cast<double>(m);
-    par_row.ns_per_item = 1e9 / par_row.items_per_sec;
-    ms.push_back(par_row);
-    if (w == 1) par_t1_events_per_sec = par_row.items_per_sec;
-    if (w == 2) par_t2_events_per_sec = par_row.items_per_sec;
-    if (par_row.items_per_sec > par_best_events_per_sec) {
-      par_best_events_per_sec = par_row.items_per_sec;
+  for (int pair = 0; pair < kObsPairs; ++pair) {
+    gb::Measurement off;
+    const bool on_first = pair % 2 == 1;
+    for (const bool on : {on_first, !on_first}) {
+      go::set_enabled(on);
+      (on ? obs_row : off) =
+          gb::measure(on ? "NetTwoChoice/wire+obs" : "NetTwoChoice/wire", 0,
+                      m, 0, kObsReps, wire_once);
     }
+    go::set_enabled(false);
+    obs_ratios.push_back(obs_row.items_per_sec / off.items_per_sec);
   }
-  const double parallel_t1_vs_sequential =
-      par_t1_events_per_sec / events_per_sec;
-  // The 2-worker sanity ratio: adding one worker must never *cost* much.
-  // On few-core hosts CrewMode::kAuto detects the oversubscription and
-  // runs inline, so this holds everywhere — floored unconditionally by
-  // the perf gate (the historical failure was 0.48x on a 1-core runner).
-  const double parallel_t2_vs_t1 =
-      par_t2_events_per_sec / par_t1_events_per_sec;
-  const double parallel_scaling_best =
-      par_best_events_per_sec / par_t1_events_per_sec;
-  // Conservative-window shape at the t1 rate: how often the engine hits a
-  // barrier, and what share of events banked crew work (the batch-fill
-  // ratio — the parallel fraction the crew can actually take).
-  const double parallel_windows_per_sec =
-      par_t1_events_per_sec * static_cast<double>(windows) /
-      static_cast<double>(events);
-  const double parallel_batch_fill_ratio =
-      static_cast<double>(crew_tasks) / static_cast<double>(events);
-  gb::Measurement win_row;
-  win_row.name = "ParallelNet/windows";
-  win_row.items_per_sec = parallel_windows_per_sec;
-  win_row.ns_per_item = 1e9 / parallel_windows_per_sec;
-  ms.push_back(win_row);
+  std::sort(obs_ratios.begin(), obs_ratios.end());
+  const double obs_overhead =
+      go::compiled_in() ? obs_ratios[obs_ratios.size() / 2] : 1.0;
+  ms.push_back(obs_row);
 
   // --- structural baseline: same probes, no messages.
   ms.push_back(gb::measure("TwoChoiceDht/structural", 0, m, warmup, reps, [&] {
@@ -201,13 +143,9 @@ int main(int argc, char** argv) {
   std::printf("\nhw threads: %u\n", std::thread::hardware_concurrency());
   std::printf("events/sec (DES loop)      : %.0f\n", events_per_sec);
   std::printf("net / structural inserts   : %.3fx\n", net_vs_structural);
-  std::printf("obs enabled / obs off      : %.3fx\n", obs_overhead);
-  std::printf("parallel t1 / sequential   : %.3fx\n",
-              parallel_t1_vs_sequential);
-  std::printf("parallel t2 / t1           : %.3fx\n", parallel_t2_vs_t1);
-  std::printf("parallel best / t1 scaling : %.3fx\n", parallel_scaling_best);
-  std::printf("windows/sec at t1          : %.0f\n", parallel_windows_per_sec);
-  std::printf("crew tasks per event       : %.3f\n", parallel_batch_fill_ratio);
+  std::printf("obs enabled / obs off      : %.3fx (median of %d pairs, "
+              "range %.3f-%.3f)\n",
+              obs_overhead, kObsPairs, obs_ratios.front(), obs_ratios.back());
 
   std::string json;
   json += "{\n";
@@ -227,9 +165,8 @@ int main(int argc, char** argv) {
   json += hwbuf;
   json += "  \"results\": [\n";
   for (std::size_t i = 0; i < ms.size(); ++i) {
-    // Parallel rows carry their worker count; engine rows have none.
-    gb::append_json(json, ms[i], "insert",
-                    /*with_threads=*/ms[i].threads != 0, i + 1 == ms.size());
+    gb::append_json(json, ms[i], "insert", /*with_threads=*/false,
+                    i + 1 == ms.size());
   }
   json += "  ],\n";
   char tail[512];
@@ -237,16 +174,9 @@ int main(int argc, char** argv) {
                 "  \"events_per_sec\": %.1f,\n"
                 "  \"inserts_per_sec\": %.1f,\n"
                 "  \"net_vs_structural\": %.4f,\n"
-                "  \"obs_overhead\": %.4f,\n"
-                "  \"parallel_t1_vs_sequential\": %.4f,\n"
-                "  \"parallel_t2_vs_t1\": %.4f,\n"
-                "  \"parallel_scaling_best\": %.4f,\n"
-                "  \"parallel_windows_per_sec\": %.1f,\n"
-                "  \"parallel_batch_fill_ratio\": %.4f\n}\n",
+                "  \"obs_overhead\": %.4f\n}\n",
                 events_per_sec, inserts_per_sec, net_vs_structural,
-                obs_overhead, parallel_t1_vs_sequential, parallel_t2_vs_t1,
-                parallel_scaling_best, parallel_windows_per_sec,
-                parallel_batch_fill_ratio);
+                obs_overhead);
   json += tail;
 
   return gb::write_json_or_fail(out_path, json);

@@ -42,13 +42,18 @@
 // executable ordering specification: tests drive both with identical
 // schedules and demand identical pop sequences, and bench/event_queue_bench
 // measures the calendar's speedup over it.
+//
+// The surface is push / pop / size and nothing windowed: the one drive
+// loop (NetSimulator::run) pops a single event at a time, so there is no
+// peek-the-minimum, drain-up-to-a-bound or fill-a-payload-in-place API.
+// A parallel engine that wants those would need a different determinism
+// contract first (ROADMAP item 1 has the note).
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -59,9 +64,6 @@ namespace geochoice::net {
 
 /// Simulated clock. Unitless; latency models define the scale.
 using SimTime = double;
-
-/// `min_time()` on an empty queue: no event is due before anything.
-inline constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::infinity();
 
 /// The original (time, seq) min-heap scheduler. Same contract as
 /// EventQueue; kept as the reference implementation the calendar queue is
@@ -86,42 +88,10 @@ class HeapEventQueue {
   /// Earliest event; among equal times, the one scheduled first.
   [[nodiscard]] const Event& top() const { return heap_.top(); }
 
-  /// Time of the earliest scheduled event, kNoEvent when empty. The
-  /// peek-bound half of the conservative-window API: a windowed driver
-  /// compares this against its window end without committing to a pop.
-  [[nodiscard]] SimTime min_time() const noexcept {
-    return heap_.empty() ? kNoEvent : heap_.top().time;
-  }
-
   Event pop() {
     Event e = heap_.top();
     heap_.pop();
     return e;
-  }
-
-  /// If the earliest event is strictly before `bound`, pop it into `out`
-  /// and return true; otherwise leave the queue unchanged. The windowed
-  /// engines' hot path: one peek-and-pop, no separate min_time() walk.
-  [[nodiscard]] bool pop_before(SimTime bound, Event& out) {
-    if (heap_.empty() || !(heap_.top().time < bound)) return false;
-    out = heap_.top();
-    heap_.pop();
-    return true;
-  }
-
-  /// Pop-and-call `fn(Event)` for every event strictly before `bound`,
-  /// re-checking the minimum after each call so events `fn` schedules
-  /// inside the window (zero-delay cascades) are drained in order too.
-  /// Returns the number of events delivered.
-  template <typename Fn>
-  std::size_t drain_until(SimTime bound, Fn&& fn) {
-    std::size_t n = 0;
-    Event e;
-    while (pop_before(bound, e)) {
-      fn(std::move(e));
-      ++n;
-    }
-    return n;
   }
 
   /// Total events ever scheduled (the sequence counter).
@@ -150,15 +120,6 @@ class EventQueue {
     Payload payload;
   };
 
-  /// A claim on a scheduled-but-not-yet-popped event's payload slot,
-  /// returned by push(). Stable across rebuckets (entries move, pool slots
-  /// don't) and invalidated by the pop that delivers the event. This is
-  /// the parallel engine's fill mechanism: the sequencer schedules a
-  /// partially-built event, hands the ticket to a worker, and the worker
-  /// completes the payload in place via payload() before the event's due
-  /// time.
-  using Ticket = typename core::ObjectPool<Payload>::Handle;
-
   /// `width_hint` seeds the day width (rounded to a power of two): pass
   /// the expected spacing between consecutive events — e.g. the latency
   /// model's mean delay over the number of operations in flight. Any
@@ -169,68 +130,17 @@ class EventQueue {
     buckets_.resize(kMinBuckets);
   }
 
-  /// Schedule `payload` at absolute time `t`. The returned ticket stays
-  /// valid until the event pops.
-  Ticket push(SimTime t, Payload payload) {
-    const Ticket ticket = pool_.emplace(std::move(payload));
-    insert_entry(Entry{t, next_seq_++, ticket});
+  /// Schedule `payload` at absolute time `t`.
+  void push(SimTime t, Payload payload) {
+    insert_entry(Entry{t, next_seq_++, pool_.emplace(std::move(payload))});
     ++size_;
     if (size_ > buckets_.size() * 2 && size_ > grow_guard_) {
       rebucket(buckets_.size() * 2);
     }
-    return ticket;
   }
-
-  /// In-place access to a scheduled event's payload. Single-writer: the
-  /// caller must guarantee no concurrent push/pop while a reference is
-  /// live (the parallel engine does — workers fill between pops, and the
-  /// window barrier orders fills before the next drain).
-  [[nodiscard]] Payload& payload(Ticket ticket) { return pool_.get(ticket); }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
-  /// Time of the earliest scheduled event, kNoEvent when empty. Advances
-  /// the day cursor to the minimum's day, which pop() then re-finds in
-  /// O(1).
-  [[nodiscard]] SimTime min_time() {
-    if (size_ == 0) return kNoEvent;
-    return find_min_bucket().front().time;
-  }
-
-  /// If the earliest event is strictly before `bound`, pop it into `out`
-  /// and return true; otherwise leave the queue unchanged. One bucket
-  /// walk for peek and pop together — the windowed engines' hot path.
-  [[nodiscard]] bool pop_before(SimTime bound, Event& out) {
-    if (size_ == 0) return false;
-    Bucket& b = find_min_bucket();
-    if (!(b.front().time < bound)) return false;
-    const Entry e = b.take_front();
-    --size_;
-    out.time = e.time;
-    out.seq = e.seq;
-    out.payload = std::move(pool_.get(e.handle));
-    pool_.release(e.handle);
-    if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 2) {
-      rebucket(buckets_.size() / 2);
-    }
-    return true;
-  }
-
-  /// Pop-and-call `fn(Event)` for every event strictly before `bound`,
-  /// re-checking the minimum after each call so events `fn` schedules
-  /// inside the window (zero-delay cascades) are drained in order too.
-  /// Returns the number of events delivered.
-  template <typename Fn>
-  std::size_t drain_until(SimTime bound, Fn&& fn) {
-    std::size_t n = 0;
-    Event e;
-    while (pop_before(bound, e)) {
-      fn(std::move(e));
-      ++n;
-    }
-    return n;
-  }
 
   /// Earliest event; among equal times, the one scheduled first.
   /// Precondition: !empty().

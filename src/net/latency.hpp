@@ -7,11 +7,19 @@
 // targets: constant (the latency -> 0 validation limit and LAN-like
 // settings), uniform (bounded jitter), and lognormal (the heavy-ish WAN
 // tail that makes p99 interesting).
+//
+// Delays are drawn one at a time, on demand, in send order: there are no
+// pre-drawn blocks and no lookahead bound. A lognormal delay takes its
+// normal from the ziggurat (rng::normal), whose word count per draw
+// varies; the substream being dedicated is what keeps that from moving
+// any other draw. Lognormal delays are equal in distribution to a
+// Box–Muller draw (rng::normal_box_muller), not bit-identical to it:
+// tests/test_net_sim.cpp holds them to chi-squared tests. Constant and
+// uniform draws take no normal.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -53,16 +61,13 @@ struct LatencyModel {
   double a = 1.0;
   /// uniform: upper bound; lognormal: sigma (log scale); unused otherwise.
   double b = 0.0;
-  /// Lognormal only: hard lower clamp on every sampled delay (a power of
-  /// two by default, so the clamp arithmetic is exact). The lognormal's
-  /// support would otherwise reach arbitrarily close to zero, which is
-  /// both unphysical for a network link and fatal for conservative
-  /// parallel simulation — the lookahead window is min(), and a zero
-  /// min() collapses the window to nothing. Constant/uniform models have
-  /// an intrinsic minimum (a) and ignore this field.
-  double floor = kDefaultLognormalFloor;
 
-  static constexpr double kDefaultLognormalFloor = 0.015625;  // 2^-6
+  /// Lognormal only: hard lower clamp on every sampled delay, a power of
+  /// two so the clamp arithmetic is exact. The lognormal's support reaches
+  /// arbitrarily close to zero, which no physical link does: a datagram
+  /// pays at least its serialization and propagation time. Constant and
+  /// uniform models have an intrinsic minimum (a) and are not clamped.
+  static constexpr double kLognormalFloor = 0.015625;  // 2^-6
 
   /// Zero-delay model: the limit in which the message-level two-choice
   /// process collapses to the sequential run_process allocation.
@@ -75,73 +80,24 @@ struct LatencyModel {
   [[nodiscard]] static LatencyModel uniform(double lo, double hi) noexcept {
     return {LatencyKind::kUniform, lo, hi};
   }
-  [[nodiscard]] static LatencyModel lognormal(
-      double mu, double sigma,
-      double floor = kDefaultLognormalFloor) noexcept {
-    return {LatencyKind::kLognormal, mu, sigma, floor};
+  [[nodiscard]] static LatencyModel lognormal(double mu,
+                                              double sigma) noexcept {
+    return {LatencyKind::kLognormal, mu, sigma};
   }
 
-  /// Raw engine words one delay consumes: 0 (constant), 1 (uniform), or
-  /// 2 (lognormal's Box–Muller pair). Fixed per kind, which is what lets
-  /// the parallel DES pre-draw a block of words and transform them later
-  /// (or on another thread) while provably consuming the kNetLatency
-  /// substream in the identical order sample() would.
-  [[nodiscard]] int words_per_sample() const noexcept {
-    switch (kind) {
-      case LatencyKind::kConstant:
-        return 0;
-      case LatencyKind::kUniform:
-        return 1;
-      case LatencyKind::kLognormal:
-        return 2;
-    }
-    return 0;
-  }
-
-  /// The pure words -> delay transform: `words` must hold
-  /// words_per_sample() consecutive engine outputs, earliest first (may be
-  /// null for the constant model). Thread-safe; sample() is defined as
-  /// draw-then-transform, so a pre-drawn block is bit-identical by
-  /// construction.
-  [[nodiscard]] double sample_from_words(
-      const std::uint64_t* words) const noexcept {
-    switch (kind) {
-      case LatencyKind::kConstant:
-        return a;
-      case LatencyKind::kUniform:
-        return a + (b - a) * rng::u01_from_word(words[0]);
-      case LatencyKind::kLognormal:
-        return std::max(
-            floor, std::exp(a + b * rng::normal_from_words(words[0],
-                                                           words[1])));
-    }
-    return a;
-  }
-
-  /// One link delay. Consumes engine draws even for the constant model only
-  /// when needed (constant consumes none), keeping the draw count — and so
-  /// the trace — stable under model-parameter changes but not model-kind
-  /// changes.
+  /// One link delay. Constant draws nothing, uniform one engine word, and
+  /// lognormal one ziggurat normal (rng::normal: usually one word, more
+  /// in its tail and wedges). The draw count thus varies per delay, which
+  /// is why the delays get a substream of their own.
   [[nodiscard]] double sample(rng::DefaultEngine& gen) const noexcept {
-    std::uint64_t words[2];
-    const int n = words_per_sample();
-    for (int i = 0; i < n; ++i) words[i] = gen();
-    return sample_from_words(words);
-  }
-
-  /// Smallest delay the model can produce — the lookahead of the
-  /// conservative parallel engine (parallel_simulator.hpp): a message sent
-  /// at time t is never due before t + min(), so windows of that length
-  /// can execute without cross-window hazards. Like mean(), never drawn
-  /// from in the simulation itself.
-  [[nodiscard]] double min() const noexcept {
     switch (kind) {
       case LatencyKind::kConstant:
         return a;
       case LatencyKind::kUniform:
-        return a;
+        return a + (b - a) * rng::uniform01(gen);
       case LatencyKind::kLognormal:
-        return floor;
+        return std::max(kLognormalFloor,
+                        std::exp(a + b * rng::normal(gen)));
     }
     return a;
   }
@@ -162,6 +118,14 @@ struct LatencyModel {
   }
 
   void validate() const {
+    // NaN fails every comparison, so the sign checks below would pass it;
+    // an infinite parameter makes every delay (or the mean) infinite.
+    if (!std::isfinite(a) || !std::isfinite(b)) {
+      throw std::invalid_argument(
+          "latency: " + std::string(to_string(kind)) +
+          " parameters must be finite (a=" + std::to_string(a) +
+          ", b=" + std::to_string(b) + ")");
+    }
     switch (kind) {
       case LatencyKind::kConstant:
         if (a < 0.0) throw std::invalid_argument("latency: negative constant");
@@ -173,11 +137,6 @@ struct LatencyModel {
         return;
       case LatencyKind::kLognormal:
         if (b < 0.0) throw std::invalid_argument("latency: negative sigma");
-        if (!(floor > 0.0)) {
-          throw std::invalid_argument(
-              "latency: lognormal needs a positive floor (the conservative "
-              "lookahead would otherwise be zero)");
-        }
         return;
     }
   }

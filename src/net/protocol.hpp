@@ -111,25 +111,16 @@ template <typename Rng>
   return m;
 }
 
-/// Turn a probe (already copied into `r`) into the owner's reply in
-/// place: retarget to the client, stamp the owner's address and its load
-/// at reply time. Split from make_probe_reply so the parallel engine's
-/// barrier crew can finish a queued reply stub without re-deriving the
-/// field rules — one definition of what a probe reply carries.
-inline void finish_probe_reply(Message& r, std::uint32_t owner,
-                               std::uint32_t load) noexcept {
-  r.type = MsgType::kProbeReply;
-  r.at = r.client;
-  r.from = owner;
-  r.load = load;
-}
-
-/// The owner's answer to an arrived probe: its load at reply time.
-/// `probe.at` must already be the owner.
+/// The owner's answer to an arrived probe: retarget to the client, stamp
+/// the owner's address and its load at reply time. `probe.at` must
+/// already be the owner.
 [[nodiscard]] inline Message make_probe_reply(const Message& probe,
                                               std::uint32_t load) noexcept {
   Message r = probe;
-  finish_probe_reply(r, probe.at, load);
+  r.type = MsgType::kProbeReply;
+  r.at = probe.client;
+  r.from = probe.at;
+  r.load = load;
   return r;
 }
 
@@ -162,17 +153,12 @@ inline void finish_probe_reply(Message& r, std::uint32_t owner,
   return ack;
 }
 
-/// In-place counterpart of make_lookup_reply (see finish_probe_reply).
-inline void finish_lookup_reply(Message& r, std::uint32_t owner) noexcept {
-  r.type = MsgType::kLookupReply;
-  r.at = r.client;
-  r.from = owner;
-}
-
 /// The owner's answer to an arrived lookup. `lookup.at` is the owner.
 [[nodiscard]] inline Message make_lookup_reply(const Message& lookup) noexcept {
   Message r = lookup;
-  finish_lookup_reply(r, lookup.at);
+  r.type = MsgType::kLookupReply;
+  r.at = lookup.client;
+  r.from = lookup.at;
   return r;
 }
 

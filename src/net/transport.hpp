@@ -7,9 +7,9 @@
 //     a message samples one link delay from the run's LatencyModel
 //     substream and schedules the message on the calendar-queue
 //     MessageQueue; simulated time is whatever the drive loop pops next.
-//     This is the event loop NetSimulator/ParallelNetSimulator have always
-//     run on, extracted so the protocol handlers in SimCore talk to a
-//     transport surface instead of a queue they own.
+//     This is the event loop NetSimulator has always run on, extracted so
+//     the protocol handlers in SimCore talk to a transport surface instead
+//     of a queue they own.
 //   * UdpTransport (udp_transport.hpp): the real world. Sending encodes
 //     the message with the fixed wire codec (wire.hpp) into a buffer per
 //     destination node; each poll() drains the socket, then writes every
@@ -63,8 +63,6 @@ struct LinkCounters {
 /// handlers, which respond through send()/deliver_local().
 class SimTransport {
  public:
-  using Ticket = MessageQueue::Ticket;
-
   /// `latency_engine` must be the run's kNetLatency substream;
   /// `width_hint` seeds the calendar queue's day width.
   SimTransport(const LatencyModel& latency, rng::DefaultEngine latency_engine,
@@ -74,21 +72,9 @@ class SimTransport {
         queue_(width_hint) {}
 
   /// One link traversal to m.at: sample a delay, schedule the delivery.
-  /// Returns the queue ticket so a deferring engine (the parallel DES)
-  /// can complete the payload in place before it pops.
-  Ticket send(SimTime now, const Message& m) {
-    const SimTime due = now + latency_.sample(gen_);
-    return send_at(due, m);
-  }
-
-  /// One link traversal with the delay already chosen: count the link and
-  /// schedule at the absolute `due` time, touching no RNG. The parallel
-  /// engine sends exclusively through this — its delays come from a
-  /// pre-drawn LatencyBlock, so this transport's latency engine stays
-  /// unconsumed there.
-  Ticket send_at(SimTime due, const Message& m) {
+  void send(SimTime now, const Message& m) {
     links_.count(m.type);
-    return queue_.push(due, m);
+    queue_.push(now + latency_.sample(gen_), m);
   }
 
   /// Zero-delay self-delivery: an operation starting at its own client

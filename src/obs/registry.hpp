@@ -28,8 +28,8 @@
 //
 // Metric kinds:
 //   Counter    monotonic u64 adds                ("net.events")
-//   Gauge      last-written double, process-wide ("parallel.workers")
-//   Histogram  fixed upper-bound buckets + sum   ("parallel.window_events")
+//   Gauge      last-written double, process-wide (no caller today)
+//   Histogram  fixed upper-bound buckets + sum   ("store.probe_len")
 //   Timer      a calls/total-ns counter pair fed by obs::Span
 #pragma once
 

@@ -6,8 +6,7 @@
 // queue (reading a working set ~1/workers of the full structure), and
 // scatters results into the shared output by slot — each output slot has
 // exactly one owner, so the parallel phase is write-disjoint by
-// construction. The parallel network simulator gives each worker a
-// contiguous range of ring shards instead (shard_begin).
+// construction.
 #pragma once
 
 #include <cstddef>
@@ -33,17 +32,5 @@ struct ShardQueue {
     items.push_back(item);
   }
 };
-
-/// Shard range owned by worker `w`: [shard_begin(w), shard_begin(w+1)),
-/// i.e. shard s belongs to the worker with s*workers/shards == w. Ranges
-/// are contiguous, so each worker's probes occupy one contiguous region of
-/// the space. Requires 0 < workers; w may equal workers (yields `shards`,
-/// the end sentinel).
-[[nodiscard]] inline std::uint32_t shard_begin(std::size_t w,
-                                               std::uint32_t shards,
-                                               std::size_t workers) noexcept {
-  return static_cast<std::uint32_t>(
-      (static_cast<std::uint64_t>(w) * shards + workers - 1) / workers);
-}
 
 }  // namespace geochoice::parallel

@@ -10,7 +10,9 @@
 //     peer list is just the port arithmetic.
 //
 //   Cluster driver:  dht_node --cluster=4 --keys=512 --port-base=9200
-//     Fork the other N-1 nodes as children, run node 0 plus the
+//     Fork the other N-1 nodes as children, wait until each has bound its
+//     port (a readiness byte on a pipe; a child that exits first fails
+//     the run at once, with exit 1), run node 0 plus the
 //     ClientDriver in this process, drive the two-choice insertion
 //     workload (and --lookups measurement lookups), census every node's
 //     final load, print the report, SIGTERM the children, exit 0 only
@@ -32,6 +34,7 @@
 // Observability: with --heartbeat-ms=N every process prints a one-line
 // stats heartbeat to stderr every N ms of transport time; SIGUSR1 dumps
 // the same line immediately (servers and the driver both install it).
+#include <cerrno>
 #include <climits>
 #include <csignal>
 #include <cstdint>
@@ -128,8 +131,10 @@ std::vector<net::Endpoint> make_peers(const Options& opt) {
 }
 
 /// Serve one node until a termination signal. Used by standalone server
-/// processes and by the forked children of cluster mode.
-int serve(const Options& opt) {
+/// processes and by the forked children of cluster mode, which pass the
+/// write end of the readiness pipe as `ready_fd`: it gets one byte once
+/// the transport is bound, and is closed.
+int serve(const Options& opt, int ready_fd = -1) {
   const auto ring = make_ring(opt);
   net::UdpTransport transport(
       opt.id, static_cast<std::uint16_t>(opt.port_base + opt.id));
@@ -138,6 +143,12 @@ int serve(const Options& opt) {
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
   std::signal(SIGUSR1, on_dump);
+  if (ready_fd >= 0) {
+    const char bound = 1;
+    while (write(ready_fd, &bound, 1) < 0 && errno == EINTR) {
+    }
+    close(ready_fd);
+  }
   std::uint64_t next_beat =
       opt.heartbeat_ms > 0 ? opt.heartbeat_ms : ~0ULL;
   while (g_stop == 0) {
@@ -255,8 +266,33 @@ int drive(const Options& opt) {
   return complete ? 0 : 1;
 }
 
-/// Fork the ring, drive it, tear it down.
+/// Bytes read from `fd` until `expected` arrive or every writer has
+/// closed its end (EOF).
+std::size_t read_ready(int fd, std::size_t expected) {
+  std::size_t got = 0;
+  char buf[64];
+  while (got < expected) {
+    const ssize_t r = read(fd, buf, sizeof(buf));
+    if (r > 0) {
+      got += static_cast<std::size_t>(r);
+    } else if (r == 0 || errno != EINTR) {
+      break;
+    }
+  }
+  return got;
+}
+
+/// Fork the ring, wait until every child has bound, drive it, tear it
+/// down.
 int run_cluster(const Options& opt) {
+  // Readiness handshake: each child writes one byte once its socket is
+  // bound, then closes its end. Reading EOF before one byte per child
+  // means a child exited first (say its port was taken).
+  int ready[2];
+  if (pipe(ready) != 0) {
+    std::perror("dht_node: pipe");
+    return 1;
+  }
   std::vector<pid_t> children;
   children.reserve(opt.nodes - 1);
   for (std::size_t i = 1; i < opt.nodes; ++i) {
@@ -264,20 +300,38 @@ int run_cluster(const Options& opt) {
     if (pid < 0) {
       std::perror("dht_node: fork");
       for (const pid_t c : children) kill(c, SIGTERM);
+      close(ready[0]);
+      close(ready[1]);
       return 1;
     }
     if (pid == 0) {
+      close(ready[0]);
       Options child = opt;
       child.id = static_cast<std::uint32_t>(i);
-      _exit(serve(child));
+      try {
+        _exit(serve(child, ready[1]));
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "dht_node: %s\n", e.what());
+        _exit(1);
+      }
     }
     children.push_back(pid);
   }
+  close(ready[1]);
+  const std::size_t bound = read_ready(ready[0], children.size());
+  close(ready[0]);
   int rc = 1;
-  try {
-    rc = drive(opt);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "dht_node: %s\n", e.what());
+  if (bound < children.size()) {
+    std::fprintf(stderr,
+                 "dht_node: %zu of %zu cluster nodes exited before binding "
+                 "their port\n",
+                 children.size() - bound, children.size());
+  } else {
+    try {
+      rc = drive(opt);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "dht_node: %s\n", e.what());
+    }
   }
   for (const pid_t c : children) kill(c, SIGTERM);
   for (const pid_t c : children) {

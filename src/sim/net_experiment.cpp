@@ -21,8 +21,6 @@ NetScenarioConfig net_scenario_config(const Scenario& sc) {
   cfg.net.seed = sc.seed;
   cfg.trials = sc.trials;
   cfg.threads = sc.threads;
-  cfg.workers = sc.workers;
-  cfg.shards = sc.shards;
   return cfg;
 }
 
@@ -58,10 +56,6 @@ NetScenarioResult run_net_scenario(const NetScenarioConfig& cfg) {
         net::NetConfig c = cfg.net;
         c.trial = trial;
         c.trace = trial == 0 ? cfg.trace : nullptr;
-        if (cfg.workers > 0) {
-          return net::ParallelNetSimulator::simulate(
-              c, {cfg.workers, cfg.shards});
-        }
         return net::NetSimulator::simulate(c);
       },
       cfg.threads);

@@ -145,24 +145,6 @@ Engine resolve_engine(const Scenario& sc) noexcept {
   return Engine::kScalar;
 }
 
-std::size_t resolve_wire_workers(const Scenario& sc) noexcept {
-  if (sc.model != ExecModel::kWire || sc.transport != WireTransport::kSim ||
-      sc.engine != Engine::kAuto || sc.workers != 0) {
-    return sc.workers;
-  }
-  // The parallel engine needs a positive lookahead; zero-minimum models
-  // stay on the sequential NetSimulator rather than failing validation.
-  if (!(sc.latency.min() > 0.0)) return 0;
-  const std::size_t hw = resolve_threads(sc.threads);
-  if (hw < 4) return 0;
-  const std::uint64_t trials = sc.trials == 0 ? 1 : sc.trials;
-  // Trial-level parallelism (run_net_scenario's pool) already fills the
-  // machine when trials are plentiful; in-trial crews would only fight it.
-  if (trials > hw / 2) return 0;
-  const std::size_t per_trial = hw / static_cast<std::size_t>(trials);
-  return per_trial < 8 ? per_trial : 8;
-}
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -376,8 +358,9 @@ void validate(const Scenario& sc, Engine engine) {
   }
 }
 
-/// Wire-model validation: the protocol routes on the Chord ring, draws
-/// independent candidates, and the real transport has no parallel engine.
+/// Wire-model validation: the protocol routes on the Chord ring and draws
+/// independent candidates; the simulated transport needs a valid latency
+/// model (the real one pays the kernel's).
 void validate_wire(const Scenario& sc) {
   if (sc.trials == 0) throw std::invalid_argument("run: zero trials");
   if (sc.num_servers == 0) throw std::invalid_argument("run: zero servers");
@@ -403,20 +386,7 @@ void validate_wire(const Scenario& sc) {
       throw std::invalid_argument("run: quantiles must lie in (0, 1)");
     }
   }
-  if (sc.transport == WireTransport::kUdp) {
-    if (sc.workers != 0 || sc.shards != 0) {
-      throw std::invalid_argument(
-          "run: workers/shards drive the parallel simulator; the UDP "
-          "cluster runs in real time and has neither");
-    }
-    return;
-  }
-  sc.latency.validate();
-  if (sc.workers > 0 && !(sc.latency.min() > 0.0)) {
-    throw std::invalid_argument(
-        "run: workers > 0 needs a latency model with a positive minimum "
-        "(the conservative engine's lookahead)");
-  }
+  if (sc.transport == WireTransport::kSim) sc.latency.validate();
 }
 
 /// kUdp trials: each stands up a fresh loopback cluster. Sequential on
@@ -536,11 +506,7 @@ void write_trace_file(const obs::TraceRecorder& rec, const std::string& path) {
   }
 }
 
-RunReport run_wire(const Scenario& sc_in) {
-  // Resolve the kAuto worker rule first so validation, execution and the
-  // echoed spec all see the same concrete count.
-  Scenario sc = sc_in;
-  sc.workers = resolve_wire_workers(sc_in);
+RunReport run_wire(const Scenario& sc) {
   validate_wire(sc);
   RunReport report;
   report.spec = sc;
@@ -551,7 +517,7 @@ RunReport run_wire(const Scenario& sc_in) {
   report.spec.threads = resolve_threads(sc.threads);
   report.wire.present = true;
 
-  // One recorder serves both transports: the DES sequencer and the UDP
+  // One recorder serves both transports: the DES loop and the UDP
   // loopback pump are each single-threaded at the record sites, and only
   // trial 0 writes, so the ring never sees two writers.
   std::unique_ptr<obs::TraceRecorder> recorder;
@@ -737,9 +703,6 @@ Scenario scenario_from_args(const ArgParser& args, Scenario defaults) {
   sc.window = static_cast<std::uint32_t>(
       args.get_u64("window", static_cast<std::uint64_t>(sc.window)));
   sc.lookups = args.get_u64("lookups", sc.lookups);
-  sc.workers = args.get_u64("workers", sc.workers);
-  sc.shards = static_cast<std::uint32_t>(
-      args.get_u64("shards", static_cast<std::uint64_t>(sc.shards)));
   if (args.has("obs")) sc.obs = true;
   sc.trace_out = args.get_string("trace-out", sc.trace_out);
   return sc;

@@ -31,8 +31,9 @@
 // transport = kUdp, against a real in-process localhost UDP cluster —
 // reporting per-message hop/latency/staleness metrics next to the
 // max-load distribution. The net fields (latency, window, lookups,
-// workers, shards, transport) live in the spec, so RunReport::spec
-// reproduces net runs exactly like structural ones.
+// transport) live in the spec, so RunReport::spec reproduces net runs
+// exactly like structural ones. A sim-transport wire run is sequential
+// within a trial (one NetSimulator) and parallel across trials.
 #pragma once
 
 #include <cstdint>
@@ -133,15 +134,13 @@ struct Scenario {
   std::uint32_t window = 1;
   /// Measurement lookups issued after the inserts drain.
   std::uint64_t lookups = 0;
-  /// kSim: in-trial engine parallelism. 0 runs the sequential
-  /// NetSimulator; >= 1 dispatches each trial on a ParallelNetSimulator
-  /// with this worker count (bit-identical results; needs a latency model
-  /// with a positive minimum). Must be 0 for kUdp. With engine == kAuto,
-  /// a 0 is resolved by resolve_wire_workers before validation — the
-  /// wire-model analogue of the structural kAuto engine rule.
-  std::size_t workers = 0;
-  /// kSim: ring shards for the parallel engine (0 = 4 per worker).
-  std::uint32_t shards = 0;
+  /// In-trial workers of a wire run: always 0, since a trial runs on one
+  /// sequential NetSimulator. Kept as a read-only constant, not a field,
+  /// because the benchmark's `simulate` workload (perfbench/src/
+  /// simulate.cpp) checks and echoes `spec.workers`; nothing can set it.
+  /// It goes once that workload stops reading it (ROADMAP's
+  /// benchmark-docs item).
+  static constexpr std::size_t workers = 0;
 
   // ---- observability (any model) ----
 
@@ -223,8 +222,8 @@ struct RunReport {
   /// Registry snapshot (counters/gauges/histograms) taken at the end of
   /// the run; empty unless spec.obs (or a trace_out) turned the obs layer
   /// on. Every engine reports here: structural runs carry
-  /// scenario.trials/scenario.balls, sim-transport runs the net.* and
-  /// parallel.* counters, udp runs the cluster.* counters.
+  /// scenario.trials/scenario.balls, sim-transport runs the net.*
+  /// counters, udp runs the cluster.* counters.
   std::vector<obs::MetricValue> metrics;
 
   /// Per-trial wall timing (seconds), aggregated over trials.
@@ -255,18 +254,6 @@ struct RunReport {
 /// kSharded rule when spec.threads == 0.
 [[nodiscard]] Engine resolve_engine(const Scenario& sc) noexcept;
 
-/// The worker count a kWire/kSim scenario with engine == kAuto and
-/// workers == 0 actually runs with — the wire-model analogue of
-/// resolve_engine. Trials already run in parallel, so in-trial workers
-/// only pay off when cores outnumber trials: 0 (sequential NetSimulator)
-/// unless the latency model has a positive minimum (the conservative
-/// lookahead), >= 4 hardware threads are available, and trials <= hw/2;
-/// otherwise hw/trials workers, capped at 8 (barrier costs grow with crew
-/// size faster than the parallel fraction). Explicit `workers`, a pinned
-/// engine, or a kUdp/structural spec pass through unchanged. Depends on
-/// hardware_concurrency only when sc.threads == 0.
-[[nodiscard]] std::size_t resolve_wire_workers(const Scenario& sc) noexcept;
-
 /// Execute the scenario: trials in parallel for scalar/batched (thread-
 /// count invariant), sequential trials with an intra-trial worker pool
 /// for sharded. Throws std::invalid_argument on unrunnable specs
@@ -286,7 +273,7 @@ struct RunReport {
 /// and the wire-model flags:
 ///   --model=structural|wire  --transport=sim|udp
 ///   --latency=constant|uniform|lognormal  --lat-a=A  --lat-b=B
-///   --window=W  --lookups=L  --workers=K  --shards=S
+///   --window=W  --lookups=L
 /// and the observability flags:
 ///   --obs  (bare: report registry metrics)  --trace-out=FILE (implies
 ///   --obs; write trial 0's Chrome trace JSON, wire model only)

@@ -15,16 +15,19 @@
 #include <stdexcept>
 #include <vector>
 
+#include "chi_squared_bins.hpp"
 #include "core/core.hpp"
 #include "geometry/ring_arithmetic.hpp"
 #include "geometry/spatial_grid.hpp"
 #include "rng/rng.hpp"
 #include "spaces/spaces.hpp"
+#include "stats/chi_squared.hpp"
 
 namespace gc = geochoice::core;
 namespace gg = geochoice::geometry;
 namespace gr = geochoice::rng;
 namespace gs = geochoice::spaces;
+namespace gt = geochoice::testing;
 
 namespace {
 
@@ -137,25 +140,39 @@ TEST(BatchProcess, ConservesBallsAndRecordsHeights) {
 
 TEST(BatchProcess, RandomTieBreakStatisticallyMatchesScalar) {
   // kRandom draws tie randomness in a different stream order than the
-  // scalar loop, so exact equality is not expected; the max-load
-  // distribution over trials must agree closely though.
+  // scalar loop, so exact equality is not expected; the engines must
+  // agree in distribution though.
   gr::DefaultEngine setup(12);
   const auto space = gs::UniformSpace(256);
   const auto o = opts(256, 2, gc::TieBreak::kRandom);
   const std::uint64_t trials = 300;
   double scalar_mean = 0.0;
   double batch_mean = 0.0;
+  std::vector<std::uint64_t> scalar_loads, batch_loads;
   for (std::uint64_t t = 0; t < trials; ++t) {
     auto g1 = gr::make_trial_engine(777, t);
     auto g2 = gr::make_trial_engine(777, t);
-    scalar_mean += gc::run_process(space, o, g1).max_load;
-    batch_mean += gc::run_batch_process(space, o, g2).max_load;
+    const auto scalar = gc::run_process(space, o, g1);
+    const auto batch = gc::run_batch_process(space, o, g2);
+    scalar_mean += scalar.max_load;
+    batch_mean += batch.max_load;
+    gt::add_load_counts(scalar_loads, scalar.loads);
+    gt::add_load_counts(batch_loads, batch.loads);
   }
   scalar_mean /= static_cast<double>(trials);
   batch_mean /= static_cast<double>(trials);
   // Max loads here live in a tight band (~2..4); means beyond 0.25 apart
   // would signal a real distributional bug, not noise.
   EXPECT_NEAR(scalar_mean, batch_mean, 0.25);
+  // The pooled per-bin loads of all trials (76,800 bins each) must pass a
+  // two-sample chi-squared test at alpha = 0.001. A batched engine that
+  // places 1 ball in 10 at its first candidate regardless of load fails
+  // it.
+  gt::same_length(scalar_loads, batch_loads);
+  const auto chi =
+      geochoice::stats::chi_squared_two_sample(scalar_loads, batch_loads);
+  EXPECT_FALSE(chi.rejects()) << "chi2 = " << chi.statistic << " on "
+                              << chi.dof << " dof";
 }
 
 TEST(BatchProcess, RunBatchTrialsThreadCountInvariant) {

@@ -3,20 +3,31 @@
 // validation, and the zero-latency collapse onto core::run_process.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "chi_squared_bins.hpp"
 #include "core/process.hpp"
 #include "net/net.hpp"
 #include "obs/obs.hpp"
 #include "rng/rng.hpp"
 #include "sim/net_experiment.hpp"
+#include "sim/scenario.hpp"
+#include "stats/chi_squared.hpp"
 
 namespace gn = geochoice::net;
 namespace gc = geochoice::core;
 namespace gd = geochoice::dht;
 namespace gr = geochoice::rng;
 namespace gs = geochoice::sim;
+namespace gst = geochoice::stats;
+namespace gt = geochoice::testing;
 
 // ---------------------------------------------------------------- queue
 
@@ -66,6 +77,84 @@ TEST(LatencyModel, LognormalIsPositive) {
   for (int i = 0; i < 1000; ++i) EXPECT_GT(model.sample(gen), 0.0);
 }
 
+namespace {
+
+/// The `simulate` benchmark workload's delay model: median 40, sigma 0.5.
+gn::LatencyModel simulate_latency() {
+  return gn::LatencyModel::lognormal(std::log(40.0), 0.5);
+}
+
+/// A lognormal delay drawn with Box–Muller in place of the ziggurat,
+/// under the same floor: the reference LatencyModel::sample is tested
+/// against.
+double box_muller_delay(const gn::LatencyModel& m, gr::DefaultEngine& gen) {
+  return std::max(gn::LatencyModel::kLognormalFloor,
+                  std::exp(m.a + m.b * gr::normal_box_muller(gen)));
+}
+
+/// 2^21 delays from `draw`, binned in 64 bins of probability 1/64 each
+/// under lognormal(mu, sigma).
+template <typename Draw>
+std::vector<std::uint64_t> binned_delays(double mu, double sigma,
+                                         Draw draw) {
+  auto edges = gt::equiprobable_normal_edges(64);
+  for (double& e : edges) e = std::exp(mu + sigma * e);
+  std::vector<std::uint64_t> counts(edges.size() + 1, 0);
+  for (std::uint32_t i = 0; i < (1u << 21); ++i) {
+    ++counts[gt::bin_of(edges, draw())];
+  }
+  return counts;
+}
+
+const std::vector<double> kEquiprobable64(64, 1.0 / 64.0);
+
+}  // namespace
+
+TEST(LatencyModel, LognormalMatchesBoxMullerReferenceInDistribution) {
+  // The ziggurat changes the delays bit-for-bit but not in distribution:
+  // two-sample against the Box–Muller draw, and against the lognormal
+  // CDF, both at alpha = 0.001.
+  const auto model = simulate_latency();
+  auto zig_gen = gr::make_stream(1810, 0, gr::StreamPurpose::kNetLatency);
+  auto ref_gen = gr::make_stream(1811, 0, gr::StreamPurpose::kNetLatency);
+  const auto zig = binned_delays(model.a, model.b,
+                                 [&] { return model.sample(zig_gen); });
+  const auto ref = binned_delays(model.a, model.b,
+                                 [&] { return box_muller_delay(model, ref_gen); });
+  const auto two = gst::chi_squared_two_sample(zig, ref);
+  EXPECT_EQ(two.dof, 63u);
+  EXPECT_FALSE(two.rejects()) << "chi2 = " << two.statistic;
+  const auto fit = gst::chi_squared_fit(zig, kEquiprobable64);
+  EXPECT_FALSE(fit.rejects()) << "chi2 = " << fit.statistic;
+}
+
+TEST(LatencyModel, LognormalTestsCatchASigmaOnePercentHigh) {
+  const auto model = simulate_latency();
+  const auto biased = gn::LatencyModel::lognormal(model.a, model.b * 1.01);
+  auto zig_gen = gr::make_stream(1812, 0, gr::StreamPurpose::kNetLatency);
+  auto ref_gen = gr::make_stream(1813, 0, gr::StreamPurpose::kNetLatency);
+  const auto zig = binned_delays(model.a, model.b,
+                                 [&] { return biased.sample(zig_gen); });
+  const auto ref = binned_delays(model.a, model.b,
+                                 [&] { return box_muller_delay(model, ref_gen); });
+  const auto two = gst::chi_squared_two_sample(zig, ref);
+  EXPECT_TRUE(two.rejects()) << "chi2 = " << two.statistic;
+  const auto fit = gst::chi_squared_fit(zig, kEquiprobable64);
+  EXPECT_TRUE(fit.rejects()) << "chi2 = " << fit.statistic;
+}
+
+TEST(LatencyModel, LognormalTwoSampleAcceptsTwoBoxMullerStreams) {
+  const auto model = simulate_latency();
+  auto gen_a = gr::make_stream(1814, 0, gr::StreamPurpose::kNetLatency);
+  auto gen_b = gr::make_stream(1815, 0, gr::StreamPurpose::kNetLatency);
+  const auto a = binned_delays(model.a, model.b,
+                               [&] { return box_muller_delay(model, gen_a); });
+  const auto b = binned_delays(model.a, model.b,
+                               [&] { return box_muller_delay(model, gen_b); });
+  const auto two = gst::chi_squared_two_sample(a, b);
+  EXPECT_FALSE(two.rejects()) << "chi2 = " << two.statistic;
+}
+
 TEST(LatencyModel, Validation) {
   EXPECT_THROW(gn::LatencyModel::constant(-1.0).validate(),
                std::invalid_argument);
@@ -74,9 +163,39 @@ TEST(LatencyModel, Validation) {
   EXPECT_THROW(gn::LatencyModel::lognormal(0.0, -0.1).validate(),
                std::invalid_argument);
   EXPECT_NO_THROW(gn::LatencyModel::zero().validate());
+  // NaN passes every sign comparison and an infinite parameter makes the
+  // delays (or their mean) infinite: every kind rejects both, in either
+  // parameter.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(gn::LatencyModel::constant(bad).validate(),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(gn::LatencyModel::uniform(bad, 1.0).validate(),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(gn::LatencyModel::uniform(0.0, bad).validate(),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(gn::LatencyModel::lognormal(bad, 0.5).validate(),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(gn::LatencyModel::lognormal(0.0, bad).validate(),
+                 std::invalid_argument)
+        << bad;
+  }
+  try {
+    gn::LatencyModel::constant(nan).validate();
+    ADD_FAILURE() << "a NaN constant delay was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("finite"), std::string::npos)
+        << e.what();
+  }
   EXPECT_EQ(gn::latency_kind_from_string("lognormal"),
             gn::LatencyKind::kLognormal);
-  EXPECT_THROW(gn::latency_kind_from_string("warp"), std::invalid_argument);
+  EXPECT_THROW((void)gn::latency_kind_from_string("warp"),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- chord
@@ -273,27 +392,40 @@ TEST(NetSim, ScenarioIsThreadCountInvariant) {
 }
 
 TEST(NetSim, ScenarioIsEngineInvariant) {
-  // workers > 0 swaps each trial onto the ParallelNetSimulator; the
-  // scenario-level aggregates must not move by a single bit.
-  gs::NetScenarioConfig cfg;
-  cfg.net = mixed_config();
-  cfg.net.nodes = 64;
-  cfg.net.keys = 128;
-  cfg.net.lookups = 64;
-  cfg.trials = 4;
-  cfg.threads = 1;
-  const auto a = gs::run_net_scenario(cfg);
-  cfg.workers = 2;
-  cfg.shards = 8;
-  const auto b = gs::run_net_scenario(cfg);
-  EXPECT_TRUE(a.max_load == b.max_load);
-  EXPECT_DOUBLE_EQ(a.mean_lookup_hops, b.mean_lookup_hops);
-  EXPECT_DOUBLE_EQ(a.insert_latency_p99, b.insert_latency_p99);
-  EXPECT_DOUBLE_EQ(a.lookup_latency_p99, b.lookup_latency_p99);
-  EXPECT_DOUBLE_EQ(a.links_per_insert, b.links_per_insert);
-  EXPECT_DOUBLE_EQ(a.stale_fraction, b.stale_fraction);
-  EXPECT_DOUBLE_EQ(a.mean_events, b.mean_events);
-  EXPECT_DOUBLE_EQ(a.mean_end_time, b.mean_end_time);
+  // A wire run has no structural engine: whatever sc.engine names, each
+  // trial is one sequential NetSimulator and the report echoes kScalar.
+  // The scenario-level aggregates must not move by a single bit.
+  gs::Scenario sc;
+  sc.model = gs::ExecModel::kWire;
+  sc.space = gs::SpaceKind::kChordNet;
+  sc.num_servers = 64;
+  sc.num_balls = 128;
+  sc.window = 8;
+  sc.lookups = 64;
+  sc.latency = gn::LatencyModel::lognormal(0.0, 0.5);
+  sc.trials = 4;
+  sc.threads = 1;
+  sc.engine = gs::Engine::kScalar;
+  const auto a = gs::run(sc);
+  for (const auto engine :
+       {gs::Engine::kBatched, gs::Engine::kSharded, gs::Engine::kAuto}) {
+    sc.engine = engine;
+    const auto b = gs::run(sc);
+    const std::string label(gs::to_string(engine));
+    EXPECT_EQ(b.spec.engine, gs::Engine::kScalar) << label;
+    EXPECT_TRUE(a.max_load == b.max_load) << label;
+    EXPECT_DOUBLE_EQ(a.wire.mean_lookup_hops, b.wire.mean_lookup_hops)
+        << label;
+    EXPECT_DOUBLE_EQ(a.wire.insert_latency_p99, b.wire.insert_latency_p99)
+        << label;
+    EXPECT_DOUBLE_EQ(a.wire.lookup_latency_p99, b.wire.lookup_latency_p99)
+        << label;
+    EXPECT_DOUBLE_EQ(a.wire.links_per_insert, b.wire.links_per_insert)
+        << label;
+    EXPECT_DOUBLE_EQ(a.wire.stale_fraction, b.wire.stale_fraction) << label;
+    EXPECT_DOUBLE_EQ(a.wire.mean_events, b.wire.mean_events) << label;
+    EXPECT_DOUBLE_EQ(a.wire.mean_end_time, b.wire.mean_end_time) << label;
+  }
 }
 
 TEST(NetSim, MessageConservation) {

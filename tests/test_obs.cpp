@@ -17,9 +17,9 @@
 #include <utility>
 #include <vector>
 
-#include "net/parallel_simulator.hpp"
 #include "net/simulator.hpp"
 #include "obs/obs.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -186,16 +186,36 @@ TEST(ObsRegistry, StoreCountersAreWorkerAndShardInvariant) {
             reference.at("store.resizes").first);
   ASSERT_EQ(reference.at("store.probe_len").first, 1024u);
 
-  // Bit-identical placements mean bit-identical store traffic: every
-  // worker x shard shape must reproduce the sequential counters exactly,
-  // buckets included.
-  for (const auto& shape : {net::ParallelConfig{1, 1},
-                            net::ParallelConfig{2, 4},
-                            net::ParallelConfig{2, 16}}) {
+  // Bit-identical placements mean bit-identical store traffic: a rerun of
+  // the same (seed, config) reproduces the counters exactly, buckets
+  // included.
+  obs::Registry::global().reset();
+  (void)net::NetSimulator(ring, cfg).run();
+  EXPECT_EQ(store_counts(), reference);
+
+  // So does every worker x shard layout of a pool running kCopies of the
+  // run at once (kCopies / shards per queued block): the per-thread sinks
+  // merge to exactly kCopies times the reference, buckets included.
+  constexpr std::size_t kCopies = 4;
+  auto scaled = reference;
+  for (auto& [name, value] : scaled) {
+    value.first *= kCopies;
+    for (auto& b : value.second) b *= kCopies;
+  }
+  for (const auto& [workers, shards] :
+       {std::pair<std::size_t, std::size_t>{1, 1}, {2, 4}, {4, 2}}) {
     obs::Registry::global().reset();
-    (void)net::ParallelNetSimulator(ring, cfg, shape).run();
-    EXPECT_EQ(store_counts(), reference)
-        << "workers=" << shape.workers << " shards=" << shape.shards;
+    parallel::ThreadPool pool(workers);
+    for (std::size_t s = 0; s < shards; ++s) {
+      pool.submit([&ring, &cfg, per_shard = kCopies / shards] {
+        for (std::size_t c = 0; c < per_shard; ++c) {
+          (void)net::NetSimulator(ring, cfg).run();
+        }
+      });
+    }
+    pool.wait();
+    EXPECT_EQ(store_counts(), scaled)
+        << "workers=" << workers << " shards=" << shards;
   }
 }
 

@@ -1,37 +1,37 @@
-// ParallelNetSimulator determinism suite: the conservative parallel
-// engine must be *indistinguishable* from NetSimulator — same golden
-// trace hash, same full event trace, same metrics — at every worker,
-// shard and crew-mode combination, because both are the same SimCore
-// logic and the crew only runs randomness-free work: next-hop fills,
-// reply-field finishes, and pre-drawn latency transforms
-// (parallel_simulator.hpp explains why those are the extractable pieces).
-// Most sweeps pin CrewMode::kAlways so the barrier actually engages even
-// on small batches and few-core hosts — kAuto would run them inline and
-// quietly skip the concurrency under test.
+// test_parallel_net_sim.cpp — the network simulation run in parallel.
 //
-// Test names deliberately share the ParallelNetSim prefix: the CI TSan
-// job scopes its run by that name, so every schedule-sensitive assertion
-// here also executes under ThreadSanitizer. LatencyBlock's differential
-// tests live here too, for the same TSan scoping.
+// A trial runs on one sequential NetSimulator; run_net_scenario and
+// sim::run spread the trials over a ThreadPool (parallel_for cuts the
+// trial range into contiguous blocks, about four per worker). This suite
+// pins what that concurrency must never change: every trial, whichever
+// worker runs it and whatever runs beside it, replays its sequential
+// event trace bit-for-bit — golden pins, the store workload, bounded runs
+// and the merged obs totals included. The sweeps vary the worker count
+// and the shard layout (how many blocks the trials are cut into, queued
+// last block first) independently.
+//
+// Test names share the ParallelNetSim prefix: the CI TSan job scopes its
+// run by that name, so every assertion here also executes under
+// ThreadSanitizer — the lognormal sweeps put the ziggurat's shared tables
+// under it too.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <cstdint>
-#include <stdexcept>
-#include <thread>
+#include <string>
+#include <tuple>
 #include <vector>
 
-#include "net/latency_block.hpp"
-#include "net/parallel_simulator.hpp"
 #include "net/simulator.hpp"
 #include "obs/obs.hpp"
-#include "parallel/window_barrier.hpp"
-#include "rng/streams.hpp"
+#include "parallel/parallel_for.hpp"
+#include "parallel/thread_pool.hpp"
+#include "sim/net_experiment.hpp"
 
 namespace gn = geochoice::net;
 namespace go = geochoice::obs;
 namespace gp = geochoice::parallel;
+namespace gs = geochoice::sim;
 
 namespace {
 
@@ -49,6 +49,68 @@ gn::NetConfig mixed_config() {
   return cfg;
 }
 
+/// mixed_config plus the store phase NetSim.StoreWorkloadGoldenTraceHash
+/// pins (alpha = 0 keeps the Zipf weights libm-independent).
+gn::NetConfig store_config() {
+  auto cfg = mixed_config();
+  cfg.store_gets = 256;
+  cfg.store_zipf_alpha = 0.0;
+  return cfg;
+}
+
+constexpr std::uint64_t kGoldenHash = 0x59434247df5e10ecULL;
+constexpr std::uint64_t kStoreGoldenHash = 0xb5e9d7a646c23c91ULL;
+
+/// One trial's metrics, and its executed-event trace when the config
+/// collects one.
+struct TrialRun {
+  gn::NetMetrics metrics;
+  std::vector<gn::TraceEvent> trace;
+};
+
+/// Trial `trial` of `cfg` on its own ring, as run_net_scenario runs it.
+TrialRun run_trial(gn::NetConfig cfg, std::uint64_t trial) {
+  cfg.trial = trial;
+  const auto ring = gn::NetSimulator::make_ring(cfg);
+  gn::NetSimulator sim(ring, cfg);
+  TrialRun out;
+  out.metrics = sim.run();
+  out.trace = sim.trace();
+  return out;
+}
+
+std::vector<TrialRun> run_sequential(const gn::NetConfig& cfg,
+                                     std::uint64_t trials) {
+  std::vector<TrialRun> out;
+  for (std::uint64_t t = 0; t < trials; ++t) out.push_back(run_trial(cfg, t));
+  return out;
+}
+
+/// Trials [0, trials) of `cfg` on a pool of `workers` threads, cut into
+/// `shards` contiguous blocks and queued last block first, so neither the
+/// queue order nor the trial-to-thread assignment follows trial order.
+std::vector<TrialRun> run_sharded(const gn::NetConfig& cfg,
+                                  std::uint64_t trials, std::size_t workers,
+                                  std::uint64_t shards) {
+  std::vector<TrialRun> out(trials);
+  gp::ThreadPool pool(workers);
+  const std::uint64_t block = (trials + shards - 1) / shards;
+  for (std::uint64_t lo = (trials - 1) / block * block;; lo -= block) {
+    const std::uint64_t hi = std::min(trials, lo + block);
+    pool.submit([&out, &cfg, lo, hi] {
+      for (std::uint64_t t = lo; t < hi; ++t) out[t] = run_trial(cfg, t);
+    });
+    if (lo == 0) break;
+  }
+  pool.wait();
+  return out;
+}
+
+std::string layout(std::size_t workers, std::uint64_t shards) {
+  return "workers=" + std::to_string(workers) +
+         " shards=" + std::to_string(shards);
+}
+
 void expect_same_metrics(const gn::NetMetrics& seq, const gn::NetMetrics& par,
                          const std::string& label) {
   EXPECT_EQ(par.trace_hash, seq.trace_hash) << label;
@@ -59,8 +121,12 @@ void expect_same_metrics(const gn::NetMetrics& seq, const gn::NetMetrics& par,
   EXPECT_EQ(par.stale_reads, seq.stale_reads) << label;
   EXPECT_EQ(par.inserts, seq.inserts) << label;
   EXPECT_EQ(par.lookups, seq.lookups) << label;
+  EXPECT_EQ(par.puts, seq.puts) << label;
+  EXPECT_EQ(par.gets, seq.gets) << label;
+  EXPECT_EQ(par.get_misses, seq.get_misses) << label;
   EXPECT_EQ(par.max_load, seq.max_load) << label;
   EXPECT_EQ(par.loads, seq.loads) << label;
+  EXPECT_EQ(par.placements, seq.placements) << label;
   EXPECT_DOUBLE_EQ(par.end_time, seq.end_time) << label;
   EXPECT_DOUBLE_EQ(par.insert_latency.mean(), seq.insert_latency.mean())
       << label;
@@ -68,26 +134,37 @@ void expect_same_metrics(const gn::NetMetrics& seq, const gn::NetMetrics& par,
       << label;
 }
 
+void expect_same_runs(const std::vector<TrialRun>& seq,
+                      const std::vector<TrialRun>& par,
+                      const std::string& label) {
+  ASSERT_EQ(par.size(), seq.size()) << label;
+  for (std::size_t t = 0; t < seq.size(); ++t) {
+    const std::string at = label + " trial=" + std::to_string(t);
+    expect_same_metrics(seq[t].metrics, par[t].metrics, at);
+    EXPECT_TRUE(par[t].trace == seq[t].trace) << at;
+  }
+}
+
 }  // namespace
 
 TEST(ParallelNetSim, TraceBitIdenticalAcrossWorkersAndShards) {
-  auto cfg = mixed_config();
-  cfg.collect_trace = true;
-  const auto ring = gn::NetSimulator::make_ring(cfg);
-  gn::NetSimulator seq(ring, cfg);
-  const auto seq_metrics = seq.run();
-  ASSERT_FALSE(seq.trace().empty());
-  for (const auto mode : {gn::CrewMode::kAlways, gn::CrewMode::kNever}) {
+  // Uniform delays, and lognormal ones drawn through the ziggurat: a
+  // trial's full trace does not depend on the pool that runs it.
+  for (const auto& latency : {gn::LatencyModel::uniform(0.5, 1.5),
+                              gn::LatencyModel::lognormal(0.0, 0.5)}) {
+    auto cfg = mixed_config();
+    cfg.latency = latency;
+    cfg.collect_trace = true;
+    constexpr std::uint64_t kTrials = 6;
+    const auto seq = run_sequential(cfg, kTrials);
+    ASSERT_FALSE(seq[0].trace.empty());
     for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-      for (const std::uint32_t shards : {1u, 4u, 16u}) {
+      for (const std::uint64_t shards : {1u, 3u, 6u}) {
         const std::string label =
-            "workers=" + std::to_string(workers) +
-            " shards=" + std::to_string(shards) +
-            (mode == gn::CrewMode::kAlways ? " crew=always" : " crew=never");
-        gn::ParallelNetSimulator par(ring, cfg, {workers, shards, mode});
-        const auto par_metrics = par.run();
-        expect_same_metrics(seq_metrics, par_metrics, label);
-        EXPECT_TRUE(par.trace() == seq.trace()) << label;
+            "latency=" + std::string(gn::to_string(latency.kind)) + " " +
+            layout(workers, shards);
+        expect_same_runs(seq, run_sharded(cfg, kTrials, workers, shards),
+                         label);
       }
     }
   }
@@ -95,92 +172,98 @@ TEST(ParallelNetSim, TraceBitIdenticalAcrossWorkersAndShards) {
 
 TEST(ParallelNetSim, GoldenTraceHashMatchesSequentialPin) {
   // The exact pin NetSim.GoldenTraceHash holds the sequential engine to:
-  // the parallel engine meets the same number, proving it replays the
-  // identical event sequence, not merely an equivalent one.
-  const auto m = gn::ParallelNetSimulator::simulate(
-      mixed_config(), {4, 16, gn::CrewMode::kAlways});
-  EXPECT_EQ(m.trace_hash, 0x59434247df5e10ecULL);
+  // eight copies of the run on a four-worker pool each meet it, proving
+  // every worker replays the identical event sequence, not merely an
+  // equivalent one.
+  std::vector<std::uint64_t> hashes(8, 0);
+  gp::parallel_for(
+      0, hashes.size(),
+      [&hashes](std::size_t i) {
+        hashes[i] = gn::NetSimulator::simulate(mixed_config()).trace_hash;
+      },
+      4);
+  for (const std::uint64_t h : hashes) EXPECT_EQ(h, kGoldenHash);
 }
 
 TEST(ParallelNetSim, StoreWorkloadTraceMatchesSequential) {
-  // The store phase (kPut/kGet, handled inline on the sequencer) extends
-  // the trace; the parallel engine must replay it bit-exactly at every
-  // worker x shard x crew shape, landing on the same pin as
+  // The store phase (per-key kPut writes, Zipf kGet reads) extends the
+  // trace; concurrent trials replay it bit-exactly at every worker x
+  // shard layout, and trial 0 lands on the pin of
   // NetSim.StoreWorkloadGoldenTraceHash.
-  auto cfg = mixed_config();
-  cfg.store_gets = 256;
-  cfg.store_zipf_alpha = 0.0;  // pow(x, 0) == 1: libm-independent weights
-  const auto ring = gn::NetSimulator::make_ring(cfg);
-  gn::NetSimulator seq(ring, cfg);
-  const auto seq_metrics = seq.run();
-  EXPECT_EQ(seq_metrics.trace_hash, 0xb5e9d7a646c23c91ULL);
-  for (const auto mode : {gn::CrewMode::kAlways, gn::CrewMode::kNever}) {
-    for (const std::size_t workers : {1u, 4u}) {
-      for (const std::uint32_t shards : {1u, 16u}) {
-        const std::string label =
-            "workers=" + std::to_string(workers) +
-            " shards=" + std::to_string(shards) +
-            (mode == gn::CrewMode::kAlways ? " crew=always" : " crew=never");
-        gn::ParallelNetSimulator par(ring, cfg, {workers, shards, mode});
-        const auto par_metrics = par.run();
-        expect_same_metrics(seq_metrics, par_metrics, label);
-        EXPECT_EQ(par_metrics.puts, seq_metrics.puts) << label;
-        EXPECT_EQ(par_metrics.gets, seq_metrics.gets) << label;
-        EXPECT_EQ(par_metrics.get_misses, 0u) << label;
-        EXPECT_EQ(par_metrics.placements, seq_metrics.placements) << label;
-      }
-    }
+  auto cfg = store_config();
+  cfg.collect_trace = true;
+  constexpr std::uint64_t kTrials = 4;
+  const auto seq = run_sequential(cfg, kTrials);
+  EXPECT_EQ(seq[0].metrics.trace_hash, kStoreGoldenHash);
+  for (const auto& run : seq) {
+    EXPECT_EQ(run.metrics.gets, 256u);
+    EXPECT_EQ(run.metrics.get_misses, 0u);
+  }
+  for (const auto& [workers, shards] :
+       {std::tuple<std::size_t, std::uint64_t>{1, 1}, {4, 4}, {4, 2}}) {
+    expect_same_runs(seq, run_sharded(cfg, kTrials, workers, shards),
+                     layout(workers, shards));
   }
 }
 
 TEST(ParallelNetSim, GoldenHashUnchangedWithObsAndTracing) {
-  // Obs fully on, recorder attached, barrier spans timing every window:
-  // the parallel engine must still replay the exact golden sequence.
+  // Obs fully on and a lifecycle recorder attached to every copy (the
+  // recorder is single-writer, so each copy owns one): four concurrent
+  // copies must still replay the exact golden sequence, and the
+  // per-thread sinks merge to four copies' worth of net.events.
   go::Registry::global().reset();
   go::set_enabled(true);
-  go::TraceRecorder rec;
-  auto cfg = mixed_config();
-  cfg.trace = &rec;
-  const auto m =
-      gn::ParallelNetSimulator::simulate(cfg, {4, 16, gn::CrewMode::kAlways});
+  constexpr std::size_t kCopies = 4;
+  std::vector<go::TraceRecorder> recorders(kCopies);
+  std::vector<gn::NetMetrics> runs(kCopies);
+  gp::parallel_for(
+      0, kCopies,
+      [&](std::size_t i) {
+        auto cfg = mixed_config();
+        cfg.trace = &recorders[i];
+        runs[i] = gn::NetSimulator::simulate(cfg);
+      },
+      kCopies);
   go::set_enabled(false);
-  EXPECT_EQ(m.trace_hash, 0x59434247df5e10ecULL);
-  if (go::compiled_in()) EXPECT_GT(rec.size(), 0u);
+  for (std::size_t i = 0; i < kCopies; ++i) {
+    EXPECT_EQ(runs[i].trace_hash, kGoldenHash) << "copy " << i;
+  }
+  if (go::compiled_in()) {
+    for (const auto& rec : recorders) EXPECT_GT(rec.size(), 0u);
+    std::uint64_t events = 0;
+    for (const auto& m : go::Registry::global().snapshot()) {
+      if (m.name == "net.events") events = m.count;
+    }
+    EXPECT_EQ(events, kCopies * runs[0].events);
+  }
 }
 
 TEST(ParallelNetSim, ObsCounterTotalsInvariantAcrossWorkersAndShards) {
-  // The per-thread sinks merge to the same totals no matter how the crew
-  // is shaped *or whether it engages at all*: window count, task counts,
-  // batch histograms and every net.* counter are properties of the event
-  // stream, not of the parallelism. Only the parallel.barrier.* family
-  // (wall-clock spans, engagement outcomes) legitimately varies.
+  // The per-thread sinks merge to the same totals however the trials are
+  // spread: every net.* and store.* count and bucket is a property of the
+  // trials' event streams, not of the pool. Only the wall-clock .ns
+  // totals legitimately vary.
   if (!go::compiled_in()) GTEST_SKIP() << "obs layer compiled out";
-  const auto totals = [](std::size_t workers, std::uint32_t shards,
-                         gn::CrewMode mode) {
+  constexpr std::uint64_t kTrials = 6;
+  const auto totals = [](std::size_t workers, std::uint64_t shards) {
     go::Registry::global().reset();
     go::set_enabled(true);
-    (void)gn::ParallelNetSimulator::simulate(mixed_config(),
-                                             {workers, shards, mode});
+    (void)run_sharded(store_config(), kTrials, workers, shards);
     go::set_enabled(false);
-    // Drop the policy-dependent barrier family: wall-clock timer spans and
-    // crew/inline/skipped engagement counts, legitimately run-varying.
     std::vector<go::MetricValue> out;
     for (auto& m : go::Registry::global().snapshot()) {
-      if (m.name.rfind("parallel.barrier", 0) == 0) continue;
+      const std::string& n = m.name;
+      if (n.size() >= 3 && n.compare(n.size() - 3, 3, ".ns") == 0) continue;
       out.push_back(std::move(m));
     }
     return out;
   };
-  const auto base = totals(1, 1, gn::CrewMode::kNever);
+  const auto base = totals(1, 1);
   ASSERT_FALSE(base.empty());
-  for (const auto& [workers, shards, mode] :
-       {std::tuple<std::size_t, std::uint32_t, gn::CrewMode>{
-            2, 4, gn::CrewMode::kAlways},
-        {4, 16, gn::CrewMode::kAlways},
-        {2, 4, gn::CrewMode::kNever},
-        {4, 4, gn::CrewMode::kAuto}}) {
-    const auto got = totals(workers, shards, mode);
-    ASSERT_EQ(got.size(), base.size());
+  for (const auto& [workers, shards] :
+       {std::tuple<std::size_t, std::uint64_t>{2, 3}, {4, 6}, {8, 2}}) {
+    const auto got = totals(workers, shards);
+    ASSERT_EQ(got.size(), base.size()) << layout(workers, shards);
     for (std::size_t i = 0; i < base.size(); ++i) {
       EXPECT_EQ(got[i].name, base[i].name);
       EXPECT_EQ(got[i].count, base[i].count) << got[i].name;
@@ -190,231 +273,50 @@ TEST(ParallelNetSim, ObsCounterTotalsInvariantAcrossWorkersAndShards) {
 }
 
 TEST(ParallelNetSim, ShardStarvedCrewStillExact) {
-  // More workers than occupied shards: most of the crew has no fill work
-  // in any window. Exercises the idle-worker path of the barrier.
+  // More workers than trials: most of the pool has no trial in any
+  // block. Exercises the idle-worker path, directly and through
+  // run_net_scenario.
   auto cfg = mixed_config();
   cfg.nodes = 64;
   cfg.keys = 256;
   cfg.lookups = 64;
-  const auto ring = gn::NetSimulator::make_ring(cfg);
-  const auto seq = gn::NetSimulator(ring, cfg).run();
-  gn::ParallelNetSimulator par(ring, cfg, {8, 2, gn::CrewMode::kAlways});
-  EXPECT_EQ(par.worker_count(), 8u);
-  EXPECT_EQ(par.shard_count(), 2u);
-  expect_same_metrics(seq, par.run(), "workers=8 shards=2");
+  expect_same_runs(run_sequential(cfg, 2), run_sharded(cfg, 2, 8, 2),
+                   layout(8, 2));
+
+  gs::NetScenarioConfig scn;
+  scn.net = cfg;
+  scn.trials = 2;
+  scn.threads = 1;
+  const auto a = gs::run_net_scenario(scn);
+  scn.threads = 8;
+  const auto b = gs::run_net_scenario(scn);
+  EXPECT_TRUE(a.max_load == b.max_load);
+  EXPECT_DOUBLE_EQ(a.mean_lookup_hops, b.mean_lookup_hops);
+  EXPECT_DOUBLE_EQ(a.insert_latency_p99, b.insert_latency_p99);
+  EXPECT_DOUBLE_EQ(a.links_per_insert, b.links_per_insert);
+  EXPECT_DOUBLE_EQ(a.stale_fraction, b.stale_fraction);
+  EXPECT_DOUBLE_EQ(a.mean_events, b.mean_events);
+  EXPECT_DOUBLE_EQ(a.mean_end_time, b.mean_end_time);
 }
 
 TEST(ParallelNetSim, MaxEventsStopsOnTheSamePrefix) {
-  // Bounded runs must cut the identical executed prefix: the parallel
-  // drain order *is* the sequential (time, seq) order, windows included.
+  // Bounded runs cut the identical executed prefix: with max_events set,
+  // every concurrently run trial executes exactly the first max_events
+  // events of its unbounded trace.
   auto cfg = mixed_config();
+  cfg.collect_trace = true;
+  constexpr std::uint64_t kTrials = 4;
+  const auto full = run_sequential(cfg, kTrials);
   cfg.max_events = 777;
-  const auto ring = gn::NetSimulator::make_ring(cfg);
-  const auto seq = gn::NetSimulator(ring, cfg).run();
-  ASSERT_EQ(seq.events, 777u);
-  gn::ParallelNetSimulator par(ring, cfg, {4, 8, gn::CrewMode::kAlways});
-  expect_same_metrics(seq, par.run(), "max_events=777");
-  // A mid-window cut still completes the banked tasks at the final
-  // barrier, but those payloads never pop — unobserved by construction —
-  // and the task counters reflect only the executed prefix's banking.
-  EXPECT_GT(par.crew_task_count(), 0u);
-}
-
-TEST(ParallelNetSim, LognormalFloorProvidesTheLookahead) {
-  // The lognormal model's configurable floor is what keeps the lookahead
-  // positive; the engine must accept it and still match sequentially.
-  auto cfg = mixed_config();
-  cfg.keys = 128;
-  cfg.lookups = 32;
-  cfg.latency = gn::LatencyModel::lognormal(0.0, 0.5, 0.25);
-  ASSERT_DOUBLE_EQ(cfg.latency.min(), 0.25);
-  const auto ring = gn::NetSimulator::make_ring(cfg);
-  const auto seq = gn::NetSimulator(ring, cfg).run();
-  gn::ParallelNetSimulator par(ring, cfg, {4, 4});
-  expect_same_metrics(seq, par.run(), "lognormal floor");
-}
-
-TEST(ParallelNetSim, RejectsZeroLookahead) {
-  auto cfg = mixed_config();
-  cfg.latency = gn::LatencyModel::zero();
-  const auto ring = gn::NetSimulator::make_ring(cfg);
-  EXPECT_THROW(gn::ParallelNetSimulator(ring, cfg, {2, 4}),
-               std::invalid_argument);
-}
-
-TEST(ParallelNetSim, RunIsSingleShot) {
-  const auto cfg = mixed_config();
-  const auto ring = gn::NetSimulator::make_ring(cfg);
-  gn::ParallelNetSimulator sim(ring, cfg, {2, 4});
-  (void)sim.run();
-  EXPECT_THROW(sim.run(), std::logic_error);
-}
-
-TEST(ParallelNetSim, ShardCountClampsToRingSize) {
-  auto cfg = mixed_config();
-  cfg.nodes = 8;
-  cfg.keys = 16;
-  cfg.lookups = 0;
-  const auto ring = gn::NetSimulator::make_ring(cfg);
-  gn::ParallelNetSimulator par(ring, cfg, {2, 1024});
-  EXPECT_EQ(par.shard_count(), 8u);
-  expect_same_metrics(gn::NetSimulator(ring, cfg).run(), par.run(),
-                      "shards clamped");
-}
-
-TEST(ParallelNetSim, ConstantLatencyDueExactlyAtBoundStaysExact) {
-  // With a constant model every send lands *exactly* at now + lookahead —
-  // the knife-edge of the conservative window. An event due precisely at
-  // the bound must fall into the next window (pop_before is strict), or a
-  // banked fill/reply would be popped before its barrier completes it.
-  // Zero-delay op starts issued mid-window ride the same edge.
-  auto cfg = mixed_config();
-  cfg.latency = gn::LatencyModel::constant(1.0);
-  const auto ring = gn::NetSimulator::make_ring(cfg);
-  const auto seq = gn::NetSimulator(ring, cfg).run();
-  gn::ParallelNetSimulator par(ring, cfg, {4, 8, gn::CrewMode::kAlways});
-  expect_same_metrics(seq, par.run(), "constant latency at bound");
-  // Constant models stage nothing (zero words per sample), so the banked
-  // handler tasks alone must have kept the crew engaged.
-  EXPECT_GT(par.deferred_reply_count(), 0u);
-  EXPECT_GT(par.crew_window_count(), 0u);
-}
-
-TEST(ParallelNetSim, CrewModePolicyCountersReflectMode) {
-  // Same event stream, opposite execution placement: kAlways crosses the
-  // barrier for every banked window, kNever for none. The trace-pure
-  // counters (windows, tasks) must agree; only the policy family differs.
-  const auto cfg = mixed_config();
-  const auto ring = gn::NetSimulator::make_ring(cfg);
-  gn::ParallelNetSimulator always(ring, cfg, {2, 4, gn::CrewMode::kAlways});
-  gn::ParallelNetSimulator never(ring, cfg, {2, 4, gn::CrewMode::kNever});
-  (void)always.run();
-  (void)never.run();
-  EXPECT_EQ(always.window_count(), never.window_count());
-  EXPECT_EQ(always.crew_task_count(), never.crew_task_count());
-  EXPECT_EQ(always.crew_task_count(),
-            always.deferred_fill_count() + always.deferred_reply_count());
-  EXPECT_GT(always.crew_window_count(), 0u);
-  EXPECT_EQ(always.inline_window_count(), 0u);
-  EXPECT_EQ(never.crew_window_count(), 0u);
-  EXPECT_GT(never.inline_window_count(), 0u);
-}
-
-TEST(ParallelNetSim, LatencyBlockReplaysSubstreamExactly) {
-  // The pre-drawn block must hand out the *bit-identical* delay sequence
-  // a live model.sample(gen) loop produces from the same substream, for
-  // every model kind, across staged refills (split transform ranges, the
-  // crew's call shape) and mid-window inline refills alike.
-  const std::uint64_t seed = 0x70726564726177ULL;  // "predraw"
-  const geochoice::net::LatencyModel models[] = {
-      gn::LatencyModel::constant(0.75),
-      gn::LatencyModel::uniform(0.5, 1.5),
-      gn::LatencyModel::lognormal(0.1, 0.5, 0.25),
-  };
-  for (const auto& model : models) {
-    auto ref = geochoice::rng::make_stream(
-        seed, 3, geochoice::rng::StreamPurpose::kNetLatency);
-    gn::LatencyBlock block(
-        model, geochoice::rng::make_stream(
-                   seed, 3, geochoice::rng::StreamPurpose::kNetLatency));
-    // Window sizes chosen to cover: smaller than the staging minimum,
-    // exactly at it, and far past it (forcing inline refill chunks).
-    const std::size_t window_draws[] = {3, 64, 1, 200, 500, 7};
-    for (const std::size_t draws : window_draws) {
-      const std::size_t staged = block.refill_begin();
-      // Split the transform as the crew would: two disjoint ranges.
-      block.transform_range(0, staged / 2);
-      block.transform_range(staged / 2, staged);
-      for (std::size_t i = 0; i < draws; ++i) {
-        ASSERT_EQ(block.next(), model.sample(ref))
-            << "kind=" << static_cast<int>(model.kind) << " window=" << draws
-            << " draw=" << i;
-      }
-    }
-    if (model.words_per_sample() > 0) {
-      // The 500-draw window outran any staging estimate: the sequencer
-      // fallback must have run, and it changed nothing above.
-      EXPECT_GT(block.inline_refills(), 0u);
-    }
+  const auto seq = run_sequential(cfg, kTrials);
+  const auto par = run_sharded(cfg, kTrials, 4, 4);
+  expect_same_runs(seq, par, "max_events=777 " + layout(4, 4));
+  for (std::uint64_t t = 0; t < kTrials; ++t) {
+    ASSERT_EQ(par[t].metrics.events, 777u);
+    ASSERT_GT(full[t].trace.size(), 777u);
+    ASSERT_EQ(par[t].trace.size(), 777u);
+    EXPECT_TRUE(std::equal(par[t].trace.begin(), par[t].trace.end(),
+                           full[t].trace.begin()))
+        << "trial " << t;
   }
-}
-
-TEST(ParallelNetSim, LatencyModelSampleSplitsIntoWords) {
-  // sample() must be exactly words_per_sample() engine words fed through
-  // sample_from_words — the contract that lets the block pre-draw words
-  // in bulk and transform them elsewhere.
-  const geochoice::net::LatencyModel models[] = {
-      gn::LatencyModel::constant(2.0),
-      gn::LatencyModel::uniform(1.0, 3.0),
-      gn::LatencyModel::lognormal(0.0, 1.0, 0.5),
-  };
-  const int expected_words[] = {0, 1, 2};
-  for (std::size_t k = 0; k < 3; ++k) {
-    const auto& model = models[k];
-    ASSERT_EQ(model.words_per_sample(), expected_words[k]);
-    auto gen_a = geochoice::rng::make_stream(
-        99, k, geochoice::rng::StreamPurpose::kNetLatency);
-    auto gen_b = geochoice::rng::make_stream(
-        99, k, geochoice::rng::StreamPurpose::kNetLatency);
-    for (int i = 0; i < 64; ++i) {
-      std::uint64_t words[2] = {0, 0};
-      for (int j = 0; j < model.words_per_sample(); ++j) words[j] = gen_b();
-      ASSERT_EQ(model.sample(gen_a), model.sample_from_words(words))
-          << "kind=" << static_cast<int>(model.kind) << " draw=" << i;
-    }
-  }
-}
-
-TEST(ParallelNetSim, WindowBarrierRunsEveryWorkerEachWindow) {
-  gp::WindowBarrier crew(4);
-  ASSERT_EQ(crew.worker_count(), 4u);
-  std::vector<std::atomic<int>> hits(4);
-  for (int window = 1; window <= 100; ++window) {
-    crew.run([&](std::size_t w) { ++hits[w]; });
-    // run() returning is the barrier: every worker's write is visible.
-    for (const auto& h : hits) ASSERT_EQ(h.load(), window);
-  }
-}
-
-TEST(ParallelNetSim, WindowBarrierSingleWorkerSpawnsNoThreads) {
-  gp::WindowBarrier solo(1);
-  EXPECT_EQ(solo.worker_count(), 1u);
-  int calls = 0;
-  solo.run([&](std::size_t w) {
-    EXPECT_EQ(w, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelNetSim, WindowBarrierSurvivesParkedWorkers) {
-  // Force both park paths of the spin-then-park discipline: idle gaps
-  // longer than any spin budget make the crew park between windows, and
-  // slow workers make the caller park mid-window. Every epoch must still
-  // run every worker exactly once — no missed wakeups, no double runs.
-  gp::WindowBarrier crew(4);
-  std::vector<std::atomic<int>> hits(4);
-  for (int round = 1; round <= 3; ++round) {
-    crew.run([&](std::size_t w) {
-      // Workers outlast the caller's spin budget, so the caller parks.
-      if (w != 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      ++hits[w];
-    });
-    for (const auto& h : hits) ASSERT_EQ(h.load(), round);
-    // Crew outlasts its own spin budget before the next epoch, so the
-    // workers park and the next run() must wake them through the condvar.
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-}
-
-TEST(ParallelNetSim, WindowBarrierPropagatesFirstException) {
-  gp::WindowBarrier crew(3);
-  EXPECT_THROW(crew.run([](std::size_t w) {
-                 if (w == 1) throw std::runtime_error("window failed");
-               }),
-               std::runtime_error);
-  // The crew survives a throwing window: the next one still runs fully.
-  std::atomic<int> ok{0};
-  crew.run([&](std::size_t) { ++ok; });
-  EXPECT_EQ(ok.load(), 3);
 }

@@ -5,12 +5,17 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
+#include "chi_squared_bins.hpp"
 #include "rng/rng.hpp"
+#include "stats/chi_squared.hpp"
 
 namespace gr = geochoice::rng;
+namespace gs = geochoice::stats;
+namespace gt = geochoice::testing;
 
 // ---------------------------------------------------------------- SplitMix64
 
@@ -254,6 +259,93 @@ TEST(Distributions, NormalMeanAndVariance) {
   }
   EXPECT_NEAR(sum / kN, 0.0, 0.02);
   EXPECT_NEAR(sum2 / kN, 1.0, 0.03);
+}
+
+namespace {
+
+/// 64 equiprobable bins under Phi, with the outer two split at the
+/// ziggurat's R and beyond it, so the tail branch's output (exactly the
+/// draws with |z| >= R) is binned on its own: 70 bins, 69 dof.
+std::vector<double> ziggurat_test_edges() {
+  auto edges = gt::equiprobable_normal_edges(64);
+  const double r = gr::kZigguratR;
+  edges.insert(edges.begin(), {-4.2, -3.9, -r});
+  edges.insert(edges.end(), {r, 3.9, 4.2});
+  return edges;
+}
+
+/// 2^22 draws of `draw` (seed 1808), binned by ziggurat_test_edges.
+template <typename Draw>
+std::vector<std::uint64_t> binned_normals(const std::vector<double>& edges,
+                                          Draw draw) {
+  gr::Xoshiro256StarStar gen(1808);
+  std::vector<std::uint64_t> counts(edges.size() + 1, 0);
+  for (std::uint32_t i = 0; i < (1u << 22); ++i) {
+    ++counts[gt::bin_of(edges, draw(gen))];
+  }
+  return counts;
+}
+
+}  // namespace
+
+TEST(Distributions, ZigguratNormalFitsPhi) {
+  const auto edges = ziggurat_test_edges();
+  const auto counts = binned_normals(
+      edges, [](gr::Xoshiro256StarStar& g) { return gr::normal(g); });
+  const auto chi =
+      gs::chi_squared_fit(counts, gt::normal_bin_probabilities(edges));
+  EXPECT_EQ(chi.dof, 69u);
+  EXPECT_FALSE(chi.rejects()) << "chi2 = " << chi.statistic;
+  // The tail branch ran: ~56 draws per side are expected beyond 4.2.
+  EXPECT_GT(counts.front(), 0u);
+  EXPECT_GT(counts.back(), 0u);
+}
+
+TEST(Distributions, ZigguratFitCatchesATailBranchThatReturnsR) {
+  // Draws with |z| >= R come only from the tail branch, so clamping them
+  // to R gives exactly the output of a tail branch that returns R.
+  const auto edges = ziggurat_test_edges();
+  const auto counts =
+      binned_normals(edges, [](gr::Xoshiro256StarStar& g) {
+        const double z = gr::normal(g);
+        return std::clamp(z, -gr::kZigguratR, gr::kZigguratR);
+      });
+  const auto chi =
+      gs::chi_squared_fit(counts, gt::normal_bin_probabilities(edges));
+  EXPECT_TRUE(chi.rejects()) << "chi2 = " << chi.statistic;
+}
+
+TEST(Distributions, BoxMullerReferenceFitsPhi) {
+  const auto edges = ziggurat_test_edges();
+  const auto counts = binned_normals(edges, [](gr::Xoshiro256StarStar& g) {
+    return gr::normal_box_muller(g);
+  });
+  const auto chi =
+      gs::chi_squared_fit(counts, gt::normal_bin_probabilities(edges));
+  EXPECT_FALSE(chi.rejects()) << "chi2 = " << chi.statistic;
+}
+
+TEST(Distributions, ZigguratUsesAboutOneWordPerNormal) {
+  // The fast path takes one word ~98.5% of the time; the tail and wedge
+  // branches add a word or two. Anything near 2 words per draw would mean
+  // the fast path is broken (Box–Muller always takes exactly 2).
+  struct Counting {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()() {
+      ++words;
+      return inner();
+    }
+    gr::Xoshiro256StarStar inner{1809};
+    std::uint64_t words = 0;
+  } gen;
+  constexpr std::uint64_t kDraws = 1 << 20;
+  for (std::uint64_t i = 0; i < kDraws; ++i) (void)gr::normal(gen);
+  const double per_draw =
+      static_cast<double>(gen.words) / static_cast<double>(kDraws);
+  EXPECT_GT(per_draw, 1.0);
+  EXPECT_LT(per_draw, 1.05);
 }
 
 // ---------------------------------------------------------------- AliasTable

@@ -5,9 +5,11 @@
 // resolved-spec echo, and the CSV/JSON reporting helpers.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <system_error>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/cli.hpp"
@@ -371,68 +373,42 @@ TEST(ScenarioWire, SpecReproducesTheRun) {
   EXPECT_NE(first.spec.engine, gm::Engine::kAuto);  // spec stays concrete
 }
 
-// The workers knob dispatches the conservative parallel engine per trial;
-// the engines share one trace, so the report is bit-identical.
+// A wire run's trials go to a pool of worker threads, each trial one
+// sequential NetSimulator, so the report is bit-identical at any pool
+// size. Lognormal delays put the ziggurat's draws under the pool too.
 TEST(ScenarioWire, ParallelWorkersAreBitIdentical) {
   auto sc = wire_scenario();
+  sc.latency = geochoice::net::LatencyModel::lognormal(0.0, 0.5);
+  sc.threads = 1;
   const auto sequential = gm::run(sc);
-  sc.workers = 2;
+  sc.threads = 4;
   const auto parallel = gm::run(sc);
   EXPECT_EQ(sequential.max_load, parallel.max_load);
   EXPECT_DOUBLE_EQ(sequential.wire.stale_fraction,
                    parallel.wire.stale_fraction);
+  EXPECT_DOUBLE_EQ(sequential.wire.insert_latency_p99,
+                   parallel.wire.insert_latency_p99);
+  EXPECT_DOUBLE_EQ(sequential.wire.links_per_insert,
+                   parallel.wire.links_per_insert);
+  EXPECT_DOUBLE_EQ(sequential.wire.mean_end_time,
+                   parallel.wire.mean_end_time);
 }
 
-// The wire-model kAuto rule, pinned host-independently the way
-// Scenario.AutoResolutionRules pins resolve_engine: sc.threads fixes the
-// core count the rule sees.
-TEST(ScenarioWire, AutoWorkersResolutionRules) {
-  auto sc = wire_scenario();
-  sc.engine = gm::Engine::kAuto;
-  sc.threads = 16;  // pin so the rule does not depend on this host
-  sc.trials = 4;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 4u);  // hw / trials
-  sc.trials = 2;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 8u);
-  sc.trials = 1;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 8u);  // 16/1, capped at 8
-  sc.trials = 12;  // trial-level parallelism already fills the machine
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 0u);
-  sc.trials = 4;
-  sc.threads = 2;  // too few cores to beat the sequencer
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 0u);
-  sc.threads = 16;
-  sc.latency = geochoice::net::LatencyModel::zero();  // no lookahead
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 0u);
-  sc.latency = geochoice::net::LatencyModel::constant(1.0);
-
-  // Explicit workers, a pinned engine, kUdp and structural specs all pass
-  // through unchanged — the rule fires only on kWire/kSim/kAuto/0.
-  sc.workers = 3;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 3u);
-  sc.workers = 0;
-  sc.engine = gm::Engine::kScalar;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 0u);
-  sc.engine = gm::Engine::kAuto;
-  sc.transport = gm::WireTransport::kUdp;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 0u);
-  sc.transport = gm::WireTransport::kSim;
-  sc.model = gm::ExecModel::kStructural;
-  EXPECT_EQ(gm::resolve_wire_workers(sc), 0u);
-}
-
-// run() applies the rule before validation and echoes the concrete count,
-// so rerunning the spec reproduces the run on any host.
+// run() resolves the worker-thread count before the trials start and
+// echoes it, with the in-trial workers the constant 0, so rerunning the
+// spec reproduces the run on any host.
 TEST(ScenarioWire, ReportEchoesResolvedWorkers) {
   auto sc = wire_scenario();
   sc.engine = gm::Engine::kAuto;
-  sc.threads = 16;
-  sc.trials = 2;
+  sc.threads = 0;  // hardware concurrency
   const auto report = gm::run(sc);
-  EXPECT_EQ(report.spec.workers, 8u);
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(report.spec.threads, hw == 0 ? 1u : hw);
+  EXPECT_EQ(report.spec.workers, 0u);
   EXPECT_NE(report.spec.engine, gm::Engine::kAuto);
   const auto again = gm::run(report.spec);
   EXPECT_EQ(report.max_load, again.max_load);
+  EXPECT_DOUBLE_EQ(report.wire.stale_fraction, again.wire.stale_fraction);
 }
 
 TEST(ScenarioWire, ValidatesWireSpecs) {
@@ -458,14 +434,14 @@ TEST(ScenarioWire, ValidatesWireSpecs) {
   }
   {
     auto sc = wire_scenario();
-    sc.transport = gm::WireTransport::kUdp;
-    sc.workers = 2;  // the real cluster has no parallel engine
+    sc.latency = geochoice::net::LatencyModel::constant(
+        std::numeric_limits<double>::quiet_NaN());
     EXPECT_THROW((void)gm::run(sc), std::invalid_argument);
   }
   {
     auto sc = wire_scenario();
-    sc.workers = 2;
-    sc.latency = geochoice::net::LatencyModel::zero();  // no lookahead
+    sc.latency = geochoice::net::LatencyModel::lognormal(
+        0.0, std::numeric_limits<double>::infinity());
     EXPECT_THROW((void)gm::run(sc), std::invalid_argument);
   }
 }
@@ -475,7 +451,7 @@ TEST(ScenarioWire, FromArgsParsesWireFlags) {
       "prog",           "--space=chord",       "--model=wire",
       "--transport=udp", "--latency=lognormal", "--lat-a=0.25",
       "--lat-b=0.75",   "--window=16",         "--lookups=512",
-      "--workers=3",    "--shards=8"};
+      "--workers=3"};
   const gm::ArgParser args(static_cast<int>(argv.size()), argv.data());
   const auto sc = gm::scenario_from_args(args);
   EXPECT_EQ(sc.model, gm::ExecModel::kWire);
@@ -485,8 +461,9 @@ TEST(ScenarioWire, FromArgsParsesWireFlags) {
   EXPECT_DOUBLE_EQ(sc.latency.b, 0.75);
   EXPECT_EQ(sc.window, 16u);
   EXPECT_EQ(sc.lookups, 512u);
-  EXPECT_EQ(sc.workers, 3u);
-  EXPECT_EQ(sc.shards, 8u);
+  // A trial runs on one sequential engine: --workers is not a scenario
+  // flag, so it is left over for the binary to reject as unknown.
+  EXPECT_EQ(args.unused(), std::vector<std::string>{"workers"});
 
   for (const auto m : {gm::ExecModel::kStructural, gm::ExecModel::kWire}) {
     EXPECT_EQ(gm::exec_model_from_string(std::string(gm::to_string(m))), m);

@@ -12,13 +12,16 @@
 #include <numeric>
 #include <vector>
 
+#include "chi_squared_bins.hpp"
 #include "core/core.hpp"
 #include "rng/rng.hpp"
 #include "spaces/spaces.hpp"
+#include "stats/chi_squared.hpp"
 
 namespace gc = geochoice::core;
 namespace gr = geochoice::rng;
 namespace gs = geochoice::spaces;
+namespace gt = geochoice::testing;
 
 namespace {
 
@@ -163,6 +166,29 @@ TEST(ShardedProcess, RandomTieInvariantAcrossShardsThreadsAndBlocks) {
           << "torus threads=" << threads << " block=" << block;
     }
   }
+}
+
+/// kRandom draws its ties from the sharded engine's own substream, so it
+/// matches the scalar engine in distribution only: the pooled per-bin
+/// loads of 300 trials (76,800 bins each) must pass a two-sample
+/// chi-squared test at alpha = 0.001.
+TEST(ShardedProcess, RandomTieLoadsMatchScalarInDistribution) {
+  const gs::UniformSpace space(256);
+  const auto o = opts(256, 2, gc::TieBreak::kRandom);
+  std::vector<std::uint64_t> scalar_loads, sharded_loads;
+  for (std::uint64_t t = 0; t < 300; ++t) {
+    auto g1 = gr::make_trial_engine(778, t);
+    auto g2 = gr::make_trial_engine(778, t);
+    gt::add_load_counts(scalar_loads, gc::run_process(space, o, g1).loads);
+    gt::add_load_counts(
+        sharded_loads,
+        gc::run_sharded_process(space, o, g2, sharded(2, 64)).loads);
+  }
+  gt::same_length(scalar_loads, sharded_loads);
+  const auto chi =
+      geochoice::stats::chi_squared_two_sample(scalar_loads, sharded_loads);
+  EXPECT_FALSE(chi.rejects()) << "chi2 = " << chi.statistic << " on "
+                              << chi.dof << " dof";
 }
 
 TEST(ShardedProcess, ConservesBallsAndRecordsHeights) {

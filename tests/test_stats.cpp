@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "rng/rng.hpp"
+#include "stats/chi_squared.hpp"
 #include "stats/stats.hpp"
 
 namespace gs = geochoice::stats;
@@ -249,4 +252,77 @@ TEST(Confidence, MeanInterval) {
   const auto point = gs::mean_interval(5.0, 1.0, 0);
   EXPECT_DOUBLE_EQ(point.lo, 5.0);
   EXPECT_DOUBLE_EQ(point.hi, 5.0);
+}
+
+// ---------------------------------------------------------------- chi-squared
+
+TEST(ChiSquared, CriticalValuesAreTabulatedAtAlphaOnePerMille) {
+  EXPECT_DOUBLE_EQ(gs::chi_squared_critical(1), 10.828);
+  EXPECT_DOUBLE_EQ(gs::chi_squared_critical(10), 29.588);
+  EXPECT_DOUBLE_EQ(gs::chi_squared_critical(63), 103.442);
+  EXPECT_DOUBLE_EQ(gs::chi_squared_critical(69), 111.055);
+  EXPECT_THROW((void)gs::chi_squared_critical(0), std::out_of_range);
+  EXPECT_THROW((void)gs::chi_squared_critical(17), std::out_of_range);
+}
+
+TEST(ChiSquared, FitMatchesHandComputedStatistic) {
+  const std::vector<double> p = {0.1, 0.2, 0.3, 0.4};
+  const std::vector<std::uint64_t> exact = {10, 20, 30, 40};
+  const auto same = gs::chi_squared_fit(exact, p);
+  EXPECT_DOUBLE_EQ(same.statistic, 0.0);
+  EXPECT_EQ(same.dof, 3u);
+  EXPECT_FALSE(same.rejects());
+  // Expected 10/20/30/40: 15^2/10 + 5^2/20 + 5^2/30 + 15^2/40.
+  const std::vector<std::uint64_t> flat = {25, 25, 25, 25};
+  const auto off = gs::chi_squared_fit(flat, p);
+  EXPECT_NEAR(off.statistic, 22.5 + 1.25 + 25.0 / 30.0 + 5.625, 1e-12);
+  EXPECT_TRUE(off.rejects());
+}
+
+TEST(ChiSquared, FitMergesBinsExpectedBelowFive) {
+  // Expected 4, 6, 90, 100: the first two bins merge into one of 10.
+  const std::vector<double> p = {0.02, 0.03, 0.45, 0.5};
+  const std::vector<std::uint64_t> obs = {0, 10, 90, 100};
+  const auto r = gs::chi_squared_fit(obs, p);
+  EXPECT_EQ(r.dof, 2u);
+  EXPECT_DOUBLE_EQ(r.statistic, 0.0);
+  // A short trailing group joins the one before it.
+  const std::vector<double> q = {0.5, 0.49, 0.01};
+  const std::vector<std::uint64_t> obs2 = {50, 49, 1};
+  EXPECT_EQ(gs::chi_squared_fit(obs2, q).dof, 1u);
+}
+
+TEST(ChiSquared, TwoSampleMatchesHandComputedStatistic) {
+  const std::vector<std::uint64_t> a = {50, 50};
+  const std::vector<std::uint64_t> b = {80, 20};
+  const auto r = gs::chi_squared_two_sample(a, b);
+  // Pooled expectations 65/65 and 35/35.
+  EXPECT_NEAR(r.statistic, 2 * 225.0 / 65.0 + 2 * 225.0 / 35.0, 1e-12);
+  EXPECT_EQ(r.dof, 1u);
+  EXPECT_TRUE(r.rejects());
+  EXPECT_DOUBLE_EQ(gs::chi_squared_two_sample(a, a).statistic, 0.0);
+  // Unequal totals scale the expectations, not the verdict.
+  const std::vector<std::uint64_t> twice = {100, 100};
+  EXPECT_NEAR(gs::chi_squared_two_sample(a, twice).statistic, 0.0, 1e-12);
+}
+
+TEST(ChiSquared, RejectsMalformedInput) {
+  const std::vector<std::uint64_t> two = {5, 5};
+  const std::vector<std::uint64_t> none = {0, 0};
+  EXPECT_THROW((void)gs::chi_squared_fit(two, std::vector<double>{1.0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)gs::chi_squared_fit(two, std::vector<double>{0.5, 0.6}),
+               std::invalid_argument);
+  EXPECT_THROW((void)gs::chi_squared_fit(none, std::vector<double>{0.5, 0.5}),
+               std::invalid_argument);
+  // Two bins of expected count exactly 5 are enough; 2 each are not.
+  EXPECT_EQ(gs::chi_squared_fit(two, std::vector<double>{0.5, 0.5}).dof, 1u);
+  const std::vector<std::uint64_t> few = {2, 2};
+  EXPECT_THROW((void)gs::chi_squared_fit(few, std::vector<double>{0.5, 0.5}),
+               std::invalid_argument);
+  EXPECT_THROW((void)gs::chi_squared_two_sample(two, none),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)gs::chi_squared_two_sample(two, std::vector<std::uint64_t>{1}),
+      std::invalid_argument);
 }
