@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "net/protocol.hpp"
 #include "net/udp_transport.hpp"
 #include "rng/streams.hpp"
 
@@ -55,17 +56,10 @@ ClusterResult run_loopback_cluster(const ClusterConfig& cfg) {
     }
     for (std::size_t i = 0; i < cfg.nodes; ++i) {
       auto on_message = [&, i](const Message& m) {
-        switch (m.type) {
-          case MsgType::kProbe:
-          case MsgType::kPlace:
-          case MsgType::kLookup:
-          case MsgType::kPut:
-          case MsgType::kGet:
-            nodes[i].on_message(m);
-            return;
-          default:
-            if (i == 0) driver.on_reply(m);
-            return;
+        if (protocol::is_request(m.type)) {
+          nodes[i].on_message(m);
+        } else if (i == 0) {
+          driver.on_reply(m);
         }
       };
       auto on_timer = [&, i](const Message& t) {

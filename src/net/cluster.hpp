@@ -5,10 +5,11 @@
 // until the workload (and the closing load census) completes. Every
 // message between two nodes crosses the kernel's loopback path — real
 // sockets, real encode/decode — which is exactly what the differential
-// test needs: the same workload under SimTransport must produce the
-// same placements even though these messages genuinely left the
-// process's memory. (Messages a node addresses to itself, such as the
-// driver's op starts at node 0, stay in-process: see udp_transport.hpp.)
+// test needs: NetSimulator runs the same NodeLogic and ClientDriver,
+// laid out the same way, over SimTransport, and must produce the same
+// placements even though these messages genuinely left the process's
+// memory. (Messages a node addresses to itself, such as the driver's op
+// starts at node 0, stay in-process: see udp_transport.hpp.)
 //
 // The multi-process version of the same ring is the dht_node binary
 // (src/service/dht_node.cpp); this harness exists so tests and

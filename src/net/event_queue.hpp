@@ -43,10 +43,11 @@
 // schedules and demand identical pop sequences, and bench/event_queue_bench
 // measures the calendar's speedup over it.
 //
-// The surface is push / pop / size and nothing windowed: the one drive
-// loop (NetSimulator::run) pops a single event at a time, so there is no
-// peek-the-minimum, drain-up-to-a-bound or fill-a-payload-in-place API.
-// A parallel engine that wants those would need a different determinism
+// The surface is push / pop / next_time / size and nothing windowed: the
+// one drive loop (NetSimulator::run) pops a single event at a time and
+// peeks at the next event's time to order retransmit alarms against it,
+// so there is no drain-up-to-a-bound or fill-a-payload-in-place API. A
+// parallel engine that wants those would need a different determinism
 // contract first (ROADMAP item 1 has the note).
 #pragma once
 
@@ -132,6 +133,7 @@ class EventQueue {
 
   /// Schedule `payload` at absolute time `t`.
   void push(SimTime t, Payload payload) {
+    peeked_ = kNoPeek;
     insert_entry(Entry{t, next_seq_++, pool_.emplace(std::move(payload))});
     ++size_;
     if (size_ > buckets_.size() * 2 && size_ > grow_guard_) {
@@ -146,7 +148,8 @@ class EventQueue {
   /// Precondition: !empty().
   Event pop() {
     assert(size_ > 0);
-    Bucket& b = find_min_bucket();
+    Bucket& b = peeked_ != kNoPeek ? buckets_[peeked_] : find_min_bucket();
+    peeked_ = kNoPeek;
     const Entry e = b.take_front();
     --size_;
     Event out{e.time, e.seq, std::move(pool_.get(e.handle))};
@@ -155,6 +158,15 @@ class EventQueue {
       rebucket(buckets_.size() / 2);
     }
     return out;
+  }
+
+  /// Time of the event pop() would return next, leaving it queued; a
+  /// pop() right after reuses the bucket found. Precondition: !empty().
+  [[nodiscard]] SimTime next_time() {
+    assert(size_ > 0);
+    const Bucket& b = find_min_bucket();
+    peeked_ = static_cast<std::size_t>(&b - buckets_.data());
+    return b.front().time;
   }
 
   /// Total events ever scheduled (the sequence counter).
@@ -201,6 +213,7 @@ class EventQueue {
   };
 
   static constexpr std::size_t kMinBuckets = 16;  // power of two
+  static constexpr std::size_t kNoPeek = static_cast<std::size_t>(-1);
   /// Times at or beyond 2^62 days collapse onto one sentinel day: their
   /// bucket ordering stays exact (same comparisons), only the day-walk
   /// shortcut stops discriminating them — the direct-search fallback does.
@@ -326,6 +339,7 @@ class EventQueue {
 
   core::ObjectPool<Payload> pool_;
   std::vector<Bucket> buckets_;  // size is a power of two
+  std::size_t peeked_ = kNoPeek;  // next_time()'s bucket, until a push
   SimTime width_ = 1.0;
   SimTime inv_width_ = 1.0;
   std::uint64_t cur_day_ = 0;  // day of the last pop (or earlier)

@@ -1,12 +1,13 @@
 // latency.hpp — pluggable link-latency models for the network simulator.
 //
-// Every message traversal samples one delay from the model, drawn from a
-// dedicated rng substream (StreamPurpose::kNetLatency) so that the latency
-// draw sequence — and with it the whole event trace — is a function of
-// (seed, config) alone. Three shapes cover the studies the simulator
-// targets: constant (the latency -> 0 validation limit and LAN-like
-// settings), uniform (bounded jitter), and lognormal (the heavy-ish WAN
-// tail that makes p99 interesting).
+// Every message traversal between two nodes samples one delay from the
+// model, in simulated microseconds, drawn from a dedicated rng substream
+// (StreamPurpose::kNetLatency) so that the latency draw sequence — and
+// with it the whole event trace — is a function of (seed, config) alone.
+// Three shapes cover the studies the simulator targets: constant (the
+// latency -> 0 validation limit and LAN-like settings), uniform (bounded
+// jitter), and lognormal (the heavy-ish WAN tail that makes p99
+// interesting).
 //
 // Delays are drawn one at a time, on demand, in send order: there are no
 // pre-drawn blocks and no lookahead bound. A lognormal delay takes its
@@ -137,6 +138,13 @@ struct LatencyModel {
         return;
       case LatencyKind::kLognormal:
         if (b < 0.0) throw std::invalid_argument("latency: negative sigma");
+        // normal() stays below kNormalMax: all delays are finite iff this is.
+        if (!std::isfinite(std::exp(a + rng::kNormalMax * b))) {
+          throw std::invalid_argument(
+              "latency: lognormal delays overflow: exp(mu + " +
+              std::to_string(rng::kNormalMax) + " * sigma) is not finite (mu=" +
+              std::to_string(a) + ", sigma=" + std::to_string(b) + ")");
+        }
         return;
     }
   }

@@ -73,6 +73,9 @@ enum class MsgType : std::uint8_t {
 
 inline constexpr int kMsgTypeCount = 10;
 
+/// Largest d an insert may probe: candidate indices 0 .. d-1 fit below it.
+inline constexpr int kMaxChoices = 16;
+
 struct Message {
   MsgType type = MsgType::kProbe;
   /// Node currently holding the message (the event's recipient).

@@ -4,7 +4,8 @@
 //   * latency.hpp     — constant / uniform / lognormal link-delay models
 //   * message.hpp     — the typed wire protocol (probe/place/lookup)
 //   * chord_space.hpp — ChordRing as a GeometricSpace (successor arcs)
-//   * simulator.hpp   — message-level Chord routing + wire two-choice
+//   * simulator.hpp   — the served protocol (node.hpp) driven over
+//                       simulated links (transport.hpp)
 #pragma once
 
 #include "net/chord_space.hpp"  // IWYU pragma: export

@@ -1,47 +1,38 @@
 // node.hpp — one node's protocol logic, written against the Transport
-// seam.
-//
-// SimCore (sim_core.hpp) is "every node in one process": global load
-// array, global RNG streams, a drive loop that owns time. This file is
-// the other world — the logic one *real* process runs, split along the
-// protocol's natural client/server line:
+// seam: the one implementation of the protocol. NetSimulator runs a
+// NodeLogic per ring node and a ClientDriver on node 0 over SimTransport;
+// run_loopback_cluster, dht_node and perfbench's serve run the same
+// templates over UdpTransport, the client again on node 0.
 //
 //   * NodeLogic: the server half. Routes probes/lookups one Chord hop
-//     (the same ring.next_hop the simulators call), answers the ones it
-//     owns, applies placements, and serves values from its HashStore
-//     (kPut writes are idempotent overwrites, so retransmits need no
-//     dedup; kGet answers from local state only). Beyond the store, it
-//     is deliberately state-light: probes read the load, placements bump
-//     it, and the only other memory is the at-most-once dedup set that
-//     makes placement retransmits safe.
-//   * ClientDriver: the client half. Issues the two-choice insertion
-//     workload (and measurement lookups), collects replies, picks
-//     candidates with protocol::pick_best_candidate — the *same kernel*
-//     the simulator runs, fed from the same kBallChoices substream —
-//     and arms retransmit timers because real datagrams get lost.
+//     (ring.next_hop), answers the ones it owns, applies placements, and
+//     serves values from a HashStore built on the first kPut (kPut is an
+//     idempotent overwrite, so retransmits need no dedup). Its
+//     at-most-once set holds every placement it applied, so a
+//     retransmitted kPlace never counts twice.
+//   * ClientDriver: the client half. Issues the inserts, then lookups,
+//     then puts and gets; picks candidates with
+//     protocol::pick_best_candidate from the kBallChoices substream; arms
+//     a retransmit alarm per op; and reads every node's load back with a
+//     census once the workload has drained.
 //
-// Determinism contract with the simulator (the differential oracle):
-// with window = 1 and a deterministic tie-break, a placement depends
-// only on the candidate-key stream and the serial load evolution —
-// never on message timing, routing paths, or client identity. Both
-// worlds draw candidates from make_stream(seed, trial, kBallChoices)
-// and build the same ring, so the cluster's placement sequence must be
-// bit-identical to NetSimulator's — duplicated, delayed, or reordered
-// datagrams included. That claim is what tests/test_udp_cluster.cpp
-// checks.
-//
-// Both halves are templates over the transport so the logic itself
-// cannot know which world it is in; UdpTransport is the one real
-// instantiation today.
+// Determinism contract between the worlds (the differential oracle):
+// with window = 1 and a deterministic tie-break, a placement depends only
+// on the candidate-key stream and the serial load evolution — never on
+// message timing or routing paths — so the cluster's placements must be
+// bit-identical to NetSimulator's, duplicated, delayed or reordered
+// datagrams included (tests/test_udp_cluster.cpp).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/object_pool.hpp"
@@ -49,7 +40,6 @@
 #include "dht/chord.hpp"
 #include "net/message.hpp"
 #include "net/protocol.hpp"
-#include "net/sim_core.hpp"
 #include "obs/trace.hpp"
 #include "rng/alias_table.hpp"
 #include "rng/streams.hpp"
@@ -66,8 +56,7 @@ class NodeLogic {
  public:
   /// `ring` must have finger tables built; every process derives the
   /// identical ring from the shared (seed, trial). `trace` (optional, not
-  /// owned) records forwarded/delivered lifecycle events — the same
-  /// schema SimCore emits, so sim and UDP traces line up in Perfetto.
+  /// owned) records forwarded/delivered lifecycle events, in either world.
   NodeLogic(const dht::ChordRing& ring, std::uint32_t self,
             Transport& transport, obs::TraceRecorder* trace = nullptr)
       : ring_(&ring), self_(self), transport_(&transport), trace_(trace) {}
@@ -99,13 +88,18 @@ class NodeLogic {
         // phase): store and ack. Overwrite semantics make a retransmitted
         // put — its first ack lost — naturally at-most-once.
         trace_event(obs::TracePhase::kDelivered, msg);
-        store_.put_u64(msg.op, msg.value);
+        if (!store_) {
+          store_ = std::make_unique<store::HashStore>(
+              store::HashStore::kNeighborhood);
+        }
+        store_->put_u64(msg.op, msg.value);
         transport_->send(protocol::make_put_ack(msg));
         return;
       }
       case MsgType::kGet: {
         trace_event(obs::TracePhase::kDelivered, msg);
-        const auto v = store_.get_u64(msg.value);
+        const std::optional<std::uint64_t> v =
+            store_ ? store_->get_u64(msg.value) : std::nullopt;
         transport_->send(
             protocol::make_get_reply(msg, v.has_value(), v.value_or(0)));
         return;
@@ -119,13 +113,14 @@ class NodeLogic {
   [[nodiscard]] std::uint64_t stale_reads() const noexcept { return stale_; }
   /// Distinct keys with a stored value (== the store's live key count).
   [[nodiscard]] std::uint64_t keys_stored() const noexcept {
-    return store_.size();
+    return store_ ? store_->size() : 0;
   }
 
  private:
   /// Forward one greedy Chord hop unless the message has arrived
-  /// (m.dest == self). The hop-count guard mirrors SimCore::route_toward:
-  /// a routing cycle must fail loudly, not ricochet datagrams forever.
+  /// (m.dest == self). Greedy routing strictly advances toward the key,
+  /// so more than n forwards means the finger logic is broken: fail
+  /// loudly instead of ricocheting messages forever.
   bool route(Message& m) {
     if (m.dest == self_) return true;
     if (m.hops >= ring_->node_count()) {
@@ -141,36 +136,22 @@ class NodeLogic {
 
   void trace_event(obs::TracePhase phase, const Message& m) {
     if (trace_ == nullptr) return;
-    obs::TraceRecord r;
-    r.ts_us = static_cast<double>(transport_->now_us());
-    r.op = m.op;
-    r.node = self_;
-    r.from = m.from;
-    r.client = m.client;
-    r.hops = m.hops;
-    r.load = m.load;
-    r.phase = phase;
-    r.msg_type = static_cast<std::uint8_t>(m.type);
-    trace_->record(r);
+    trace_->record(protocol::trace_record(
+        phase, m, static_cast<double>(transport_->now_us()), self_, m.from));
   }
 
   void on_place(const Message& m) {
     trace_event(obs::TracePhase::kDelivered, m);
     // At-most-once: a retransmitted kPlace (its ack was lost) must not
     // count the key twice — resend the ack and change nothing.
+    // Op ids rise with issue order, so the insert is nearly an append.
     const std::uint64_t key = op_key(m.client, m.op);
-    if (placed_.contains(key)) {
+    const auto at = std::lower_bound(placed_.begin(), placed_.end(), key);
+    if (at != placed_.end() && *at == key) {
       transport_->send(protocol::make_place_ack(m));
       return;
     }
-    placed_.insert(key);
-    placed_fifo_.push_back(key);
-    // Bound the dedup memory: anything old enough to be evicted is long
-    // past its client's retransmit horizon.
-    while (placed_fifo_.size() > kPlacedMemory) {
-      placed_.erase(placed_fifo_.front());
-      placed_fifo_.pop_front();
-    }
+    placed_.insert(at, key);
     if (load_ != m.load) ++stale_;
     ++load_;
     transport_->send(protocol::make_place_ack(m));
@@ -183,23 +164,21 @@ class NodeLogic {
     return (static_cast<std::uint64_t>(client) << 40) ^ op;
   }
 
-  static constexpr std::size_t kPlacedMemory = 4096;
-
   const dht::ChordRing* ring_;
   std::uint32_t self_;
   Transport* transport_;
   obs::TraceRecorder* trace_ = nullptr;
   std::uint32_t load_ = 0;
   std::uint64_t stale_ = 0;
-  std::unordered_set<std::uint64_t> placed_;
-  std::deque<std::uint64_t> placed_fifo_;
-  /// The node's value store; starts at the minimum capacity and grows
-  /// incrementally with its keyset.
-  store::HashStore store_{store::HashStore::kNeighborhood};
+  /// op_key of every placement applied here, ascending.
+  std::vector<std::uint64_t> placed_;
+  /// Built by the first kPut, at the minimum capacity: a simulation builds
+  /// thousands of nodes, most of which never store a value.
+  std::unique_ptr<store::HashStore> store_;
 };
 
-/// What a finished cluster run hands back — the same quantities
-/// NetMetrics reports, measured on the wire.
+/// What a finished run hands back: the client's view of the workload.
+/// NetSimulator builds its NetMetrics from it.
 struct DriverReport {
   /// Owner node of insert op i — the differential-test surface.
   std::vector<std::uint32_t> placements;
@@ -208,6 +187,11 @@ struct DriverReport {
   std::uint32_t max_load = 0;
   std::uint64_t inserts = 0;
   std::uint64_t lookups = 0;
+  /// Forwarding hops of the probe replies the inserts used.
+  std::uint64_t probe_hops = 0;
+  /// Chord path length per lookup (protocol::route_hops_of).
+  stats::RunningStats lookup_hops;
+  stats::P2QuantileSet lookup_hops_q{{0.5, 0.9, 0.99}};
   /// Workload datagrams resent after a retransmit alarm (probe, place,
   /// lookup phases): actual suspected loss on the data path.
   std::uint64_t data_retransmits = 0;
@@ -224,6 +208,7 @@ struct DriverReport {
   std::uint64_t puts = 0;
   std::uint64_t gets = 0;
   std::uint64_t get_misses = 0;
+  /// From an op's first send to its answer, in the transport's µs.
   stats::RunningStats insert_latency_us;
   stats::RunningStats lookup_latency_us;
   stats::RunningStats get_latency_us;
@@ -242,13 +227,13 @@ struct DriverConfig {
   std::uint64_t trial = 0;
   /// Store reads issued once every key has been put; 0 keeps the store
   /// phases — and the RNG draws their key sampling consumes — entirely
-  /// out of the run, exactly like NetConfig::store_gets.
+  /// out of the run (NetConfig::store_gets passes through here).
   std::uint64_t store_gets = 0;
   /// Zipf exponent of the read key popularity (0 = uniform).
   double store_zipf_alpha = 0.9;
   /// Retransmit alarm per in-flight op phase. Loopback never needs it;
   /// it exists so a dropped datagram stalls an op for milliseconds, not
-  /// forever.
+  /// forever (simulated milliseconds in the simulator).
   std::uint64_t retransmit_ms = 50;
   /// Optional message-lifecycle recorder (not owned, may be null); the
   /// driver records scheduled/delivered/retransmitted events into it.
@@ -261,6 +246,11 @@ struct DriverConfig {
 template <typename Transport>
 class ClientDriver {
  public:
+  /// The op clock, of the transport's now_us() type: uint64_t over UDP,
+  /// SimTime in the simulator, so simulated latencies keep their precision.
+  using Clock = std::remove_cvref_t<
+      decltype(std::declval<const Transport&>().now_us())>;
+
   ClientDriver(const dht::ChordRing& ring, const DriverConfig& cfg,
                Transport& transport)
       : ring_(&ring),
@@ -299,6 +289,15 @@ class ClientDriver {
   /// Issue the first window. Call once, then pump the transport.
   void start() { advance(); }
 
+  /// Every insert, lookup, put and get answered: only the census is left.
+  [[nodiscard]] bool workload_done() const noexcept {
+    const std::uint64_t puts = cfg_.store_gets > 0 ? cfg_.inserts : 0;
+    return report_.inserts == cfg_.inserts &&
+           report_.lookups == cfg_.lookups && report_.puts == puts &&
+           report_.gets == cfg_.store_gets;
+  }
+
+  /// The census has read every node's load back.
   [[nodiscard]] bool done() const noexcept {
     return census_got_ == ring_->node_count();
   }
@@ -399,20 +398,20 @@ class ClientDriver {
  private:
   enum class Phase : std::uint8_t { kProbing, kPlacing };
 
-  struct InsertOp {
-    std::uint64_t start_us = 0;
+  struct InsertOp {  // keys last: with a small d, the tail stays cold
+    Clock start_us{};
     std::uint64_t op = 0;
-    std::array<double, kMaxChoices> key{};
-    std::array<std::uint32_t, kMaxChoices> owner{};
-    std::array<std::uint32_t, kMaxChoices> load{};
     std::uint32_t replied = 0;  // bitmask over probe indices
     int replies = 0;
     Phase phase = Phase::kProbing;
     int best = 0;
     typename Transport::Timer timer{};
+    std::array<std::uint32_t, kMaxChoices> owner{};
+    std::array<std::uint32_t, kMaxChoices> load{};
+    std::array<double, kMaxChoices> key{};
   };
   struct LookupOp {
-    std::uint64_t start_us = 0;
+    Clock start_us{};
     std::uint64_t op = 0;
     double key = 0.0;
     typename Transport::Timer timer{};
@@ -421,7 +420,7 @@ class ClientDriver {
   /// discriminator keeps a stale ack for one kind from matching a
   /// recycled slot holding the other.
   struct StoreOp {
-    std::uint64_t start_us = 0;
+    Clock start_us{};
     std::uint64_t op = 0;      // put: the key id itself; get: read index
     std::uint64_t key_id = 0;
     bool is_get = false;
@@ -437,17 +436,8 @@ class ClientDriver {
 
   void trace_event(obs::TracePhase phase, const Message& m) {
     if (cfg_.trace == nullptr) return;
-    obs::TraceRecord r;
-    r.ts_us = static_cast<double>(transport_->now_us());
-    r.op = m.op;
-    r.node = m.at;
-    r.from = self();
-    r.client = m.client;
-    r.hops = m.hops;
-    r.load = m.load;
-    r.phase = phase;
-    r.msg_type = static_cast<std::uint8_t>(m.type);
-    cfg_.trace->record(r);
+    cfg_.trace->record(protocol::trace_record(
+        phase, m, static_cast<double>(transport_->now_us()), m.at, self()));
   }
 
   void advance() {
@@ -459,9 +449,8 @@ class ClientDriver {
       issue_lookup();
     }
     if (report_.lookups != cfg_.lookups) return;
-    // Store phases, mirroring SimCore: write every placed key's value to
-    // the owner the placement phase recorded, then read keys back with
-    // Zipf popularity.
+    // Store phases: write every placed key's value to the owner the
+    // placement phase recorded, then read keys back with Zipf popularity.
     if (cfg_.store_gets > 0) {
       while (store_ops_.live() < cfg_.window && next_put_ < cfg_.inserts) {
         issue_put();
@@ -470,8 +459,8 @@ class ClientDriver {
       while (store_ops_.live() < cfg_.window && next_get_ < cfg_.store_gets) {
         issue_get();
       }
-      if (report_.gets != cfg_.store_gets) return;
     }
+    if (!workload_done()) return;
     // Workload drained: read the final loads back. One census probe in
     // flight at a time keeps this trivially at-most-once.
     if (census_next_ == census_got_ && census_next_ < ring_->node_count()) {
@@ -482,16 +471,15 @@ class ClientDriver {
 
   void issue_insert() {
     const std::uint64_t op_id = next_insert_++;
-    InsertOp rec;
-    rec.start_us = transport_->now_us();
-    rec.op = op_id;
+    const auto handle = insert_ops_.emplace();
+    InsertOp& live = insert_ops_.get(handle);
+    live.start_us = transport_->now_us();
+    live.op = op_id;
     // The one stream both worlds share: candidate keys drawn at issue
     // time, in operation order.
     for (int j = 0; j < cfg_.choices; ++j) {
-      rec.key[static_cast<std::size_t>(j)] = rng::uniform01(candidates_);
+      live.key[static_cast<std::size_t>(j)] = rng::uniform01(candidates_);
     }
-    const auto handle = insert_ops_.emplace(rec);
-    InsertOp& live = insert_ops_.get(handle);
     const std::uint64_t slot = handle.pack();
     for (int j = 0; j < cfg_.choices; ++j) {
       const double key = live.key[static_cast<std::size_t>(j)];
@@ -560,8 +548,8 @@ class ClientDriver {
     StoreOp rec;
     rec.start_us = transport_->now_us();
     rec.op = op_id;
-    // Same sampler, same stream as the simulator: key popularity drawn
-    // from the candidate stream at issue time, in operation order.
+    // Key popularity drawn from the candidate stream at issue time, in
+    // operation order.
     rec.key_id = store_keys_->sample(candidates_);
     rec.is_get = true;
     const auto handle = store_ops_.emplace(rec);
@@ -610,9 +598,11 @@ class ClientDriver {
     op->replied |= bit;
     op->owner[m.probe] = m.from;
     op->load[m.probe] = m.load;
+    report_.probe_hops += m.hops;
     if (++op->replies < cfg_.choices) return;
 
-    // All d replies in: the same selection kernel the simulator runs.
+    // All d replies in: pick the least-loaded candidate. The loads are
+    // reply-time snapshots; under a wide window they may already be stale.
     op->best = protocol::pick_best_candidate(op->owner.data(), op->load.data(),
                                              cfg_.choices, cfg_.tie, ties_);
     op->phase = Phase::kPlacing;
@@ -648,6 +638,9 @@ class ClientDriver {
     const double us = static_cast<double>(transport_->now_us() - op->start_us);
     report_.lookup_latency_us.add(us);
     report_.lookup_latency_us_q.add(us);
+    const double hops = protocol::route_hops_of(m.hops);
+    report_.lookup_hops.add(hops);
+    report_.lookup_hops_q.add(hops);
     lookup_ops_.release(h);
     ++report_.lookups;
     advance();

@@ -1,13 +1,11 @@
-// protocol.hpp — the per-node protocol decisions of the wire-level DHT,
-// shared by both worlds.
+// protocol.hpp — the per-node protocol decisions of the wire-level DHT.
 //
-// SimCore (sim_core.hpp) executes these steps for every simulated node in
-// one process; NodeLogic (node.hpp) executes them for the one node a real
-// process embodies. Keeping the decision kernels here — which candidate a
-// client places at, what each reply message carries — is what makes the
-// simulator a valid differential oracle for the served cluster: for
-// deterministic tie-breaks the two worlds make bit-identical placement
-// decisions from the same candidate stream.
+// NodeLogic and ClientDriver (node.hpp) are the one implementation of the
+// protocol; NetSimulator runs them over SimTransport and the served
+// cluster over UdpTransport. This file holds the kernels they call —
+// which candidate a client places at, what each message carries, which
+// kinds are requests — kept apart from the node state so each rule is
+// written once.
 //
 // Message-construction rules the builders pin down:
 //   * replies inherit the request's fields (op, key, probe, slot, hops)
@@ -24,6 +22,7 @@
 
 #include "core/tie_breaking.hpp"
 #include "net/message.hpp"
+#include "obs/trace.hpp"
 #include "rng/distributions.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256.hpp"
@@ -33,6 +32,25 @@ namespace geochoice::net::protocol {
 /// Census probes (a client reading every node's final load) mark the
 /// otherwise-unused probe index 0xff; insert probes use 0 .. d-1 < 16.
 inline constexpr std::uint8_t kCensusProbe = 0xff;
+
+/// The request/reply split every pump dispatches on: requests go to the
+/// addressed node's NodeLogic, replies and acks to the ClientDriver that
+/// issued the op.
+[[nodiscard]] constexpr bool is_request(MsgType t) noexcept {
+  return t == MsgType::kProbe || t == MsgType::kPlace ||
+         t == MsgType::kLookup || t == MsgType::kPut || t == MsgType::kGet;
+}
+
+/// The lifecycle record of `m` at `phase`, as `node` saw it at `ts_us`;
+/// `from` is the other end of the hop. Every recorder in both worlds
+/// writes this one schema.
+[[nodiscard]] inline obs::TraceRecord trace_record(
+    obs::TracePhase phase, const Message& m, double ts_us,
+    std::uint32_t node, std::uint32_t from) noexcept {
+  return {.ts_us = ts_us, .op = m.op, .node = node, .from = from,
+          .client = m.client, .hops = m.hops, .load = m.load,
+          .phase = phase, .msg_type = static_cast<std::uint8_t>(m.type)};
+}
 
 /// Pick the least-loaded candidate from d (owner, load) reply pairs.
 /// Exactly run_process's comparison loop: ties resolved by the configured

@@ -1,57 +1,172 @@
 // simulator.hpp — a deterministic discrete-event simulator of a Chord DHT
-// running the paper's two-choice insertion *over the wire*.
+// running the paper's two-choice insertion *over the wire*, with the
+// protocol code the real node serves.
 //
-// Execution model. Simulated nodes sit on a ChordRing with finger tables
-// (dht/chord.hpp). Every operation is a sequence of typed messages
-// (message.hpp) scheduled on one calendar-queue EventQueue
-// (event_queue.hpp); each link traversal costs one delay sampled from the
-// configured LatencyModel (latency.hpp). In-flight insert/lookup records
-// live in core::ObjectPool slabs and messages carry their packed slot
-// handles, so the steady-state event loop runs allocation-free with no
-// per-op map lookups. Inserting a key means: a random client draws the key's d
-// candidate positions, routes a probe to each candidate's successor along
-// Chord fingers (one hop per forward), the owners reply with their
-// *current* load, and once all d replies are back the client places the
-// key at the least-loaded candidate with a direct message. Because other
-// inserts are in flight, the loads a client acts on can be stale — the
-// deployed-system effect the structural engines (core/) cannot express;
-// `stale_reads` counts how often it happened. After the inserts drain, a
-// measurement phase issues lookups to collect hop/latency percentiles.
+// Every ring node runs NodeLogic (node.hpp) and node 0 also runs the one
+// ClientDriver, as in run_loopback_cluster and `dht_node --cluster`.
+// Messages move through SimTransport (transport.hpp): one link delay from
+// the LatencyModel to another node, none to itself, on one calendar-queue
+// EventQueue; time is in simulated microseconds. An insert: the client
+// probes the key's d candidate positions, node 0 routes each probe along
+// Chord fingers to the candidate's successor, which replies with its
+// *current* load, and the client places the key at the least-loaded one.
+// With other inserts in flight that load can be stale (`stale_reads`).
+// Lookups follow, then (store_gets > 0) a put per key and Zipf gets.
 //
-// Determinism. The queue breaks time ties by schedule order, the
-// simulation is single-threaded, and every random draw comes from a
-// (seed, trial, purpose) substream:
+// Alarms. ClientDriver arms a 50 ms retransmit alarm per op, as over UDP.
+// They run on simulated time (1 ms = 1,000 µs) on a TimerWheel, never in
+// the event queue, so alarms that never fire change neither the event
+// order, the event count nor the trace hash. A link delay past the alarm
+// makes the client resend; the owners' at-most-once set keeps each key
+// placed once. No op completing for kStallUs throws.
+//
+// A run ends when ClientDriver::workload_done() holds. The census the
+// client starts then is never delivered (its first probe counts in
+// `links`); the loads are read from each NodeLogic::load().
+//
+// Determinism. Time ties break by schedule order, a trial runs on one
+// thread, and every draw comes from a (seed, trial, purpose) substream:
 //   node ids    <- kServerPlacement   candidates/keys <- kBallChoices
-//   client picks<- kWorkload          link delays     <- kNetLatency
-//   tie breaks  <- kTieBreaking
-// so a (seed, config) pair fixes the entire event trace bit-for-bit
-// regardless of host timing or thread count (tests pin a golden trace
-// hash). In the latency -> 0 limit with window = 1, the message-level
-// process collapses to exactly core::run_process over ChordSuccessorSpace
-// (chord_space.hpp) — the validation hook tying the simulator back to the
-// paper's allocation model.
-//
-// All simulation state and handlers live in SimCore (sim_core.hpp);
-// NetSimulator contributes only the drive loop. It is the one engine: a
-// run is sequential within a trial, and sim::run / run_net_scenario run
-// trials in parallel on the thread pool.
+//   link delays <- kNetLatency        tie breaks      <- kTieBreaking
+// so a (seed, config) pair fixes the event trace bit-for-bit (tests pin a
+// golden trace hash). With zero latency and window = 1 the run collapses
+// to exactly core::run_process over ChordSuccessorSpace (chord_space.hpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <vector>
 
-#include "net/sim_core.hpp"
+#include "core/tie_breaking.hpp"
+#include "dht/chord.hpp"
+#include "net/latency.hpp"
+#include "net/message.hpp"
+#include "net/node.hpp"
+#include "net/transport.hpp"
+#include "obs/trace.hpp"
+#include "stats/p2_quantile.hpp"
+#include "stats/summary.hpp"
 
 namespace geochoice::net {
 
-class NetSimulator : public SimCore {
- public:
-  /// `ring` must outlive the simulator and must have finger tables built.
-  NetSimulator(const dht::ChordRing& ring, const NetConfig& cfg)
-      : SimCore(ring, cfg) {}
+struct NetConfig {
+  /// Ring size n (only used by make_ring/simulate; a caller-supplied ring
+  /// fixes n itself).
+  std::size_t nodes = 1 << 8;
+  /// Keys inserted via wire-level two-choice; 0 means keys = nodes.
+  std::uint64_t keys = 0;
+  /// Candidate positions per key (d >= 1, <= kMaxChoices).
+  int choices = 2;
+  /// Maximum insert (and later lookup) operations in flight. 1 serializes
+  /// operations — the staleness-free baseline; larger windows let load
+  /// replies go stale by the placements in flight.
+  std::uint32_t window = 1;
+  /// Tie-break among equal-load candidates. kFirstChoice and kLowestIndex
+  /// replay run_process exactly; kRandom matches it in distribution (the
+  /// draw comes from a dedicated substream). Region-measure ties would
+  /// need arc sizes on the wire and are rejected.
+  core::TieBreak tie = core::TieBreak::kRandom;
+  LatencyModel latency = LatencyModel::constant(1.0);
+  /// Measurement lookups issued after all inserts complete.
+  std::uint64_t lookups = 0;
+  /// Store workload: when > 0, each node carries a store::HashStore and —
+  /// after every insert is acknowledged and every lookup answered — the
+  /// clients write one value per placed key (kPut, direct to the recorded
+  /// owner) and then issue this many Zipf-popular reads (kGet). 0 keeps
+  /// the store machinery entirely out of the run: no extra RNG draws, no
+  /// new message kinds, so pre-store golden trace hashes stay bit-exact.
+  std::uint64_t store_gets = 0;
+  /// Zipf exponent of the read key popularity (0 = uniform).
+  double store_zipf_alpha = 0.9;
+  std::uint64_t seed = 0x6e657473696d2121ULL;  // "netsim!!"
+  std::uint64_t trial = 0;
+  /// Record the full executed-event trace (tests; costs memory).
+  bool collect_trace = false;
+  /// Stop after executing this many events, leaving any remaining work —
+  /// including in-flight operations — unexecuted. 0 means run to drain.
+  /// Bounded runs are how tests tear the simulator down mid-flight.
+  std::uint64_t max_events = 0;
+  /// Optional message-lifecycle recorder (obs/trace.hpp); not owned, may
+  /// be null. Recording reads message fields only — no RNG, no ordering
+  /// effect — so golden trace hashes are identical with or without it.
+  obs::TraceRecorder* trace = nullptr;
 
-  /// Run the full simulation (inserts, then lookups) to completion.
-  /// Single-shot: a simulator instance cannot be rerun.
+  [[nodiscard]] std::uint64_t insert_count() const noexcept {
+    return keys == 0 ? static_cast<std::uint64_t>(nodes) : keys;
+  }
+};
+
+/// Aggregate results of one simulation run.
+struct NetMetrics {
+  std::uint64_t events = 0;  // executed events (= delivered messages)
+  /// Protocol sends, self-addressed ones included (the wire cost).
+  std::uint64_t links = 0;
+  std::array<std::uint64_t, kMsgTypeCount> links_by_type{};
+  /// Total forwarding hops spent routing insert probes — the wire price of
+  /// consulting d candidates before placing.
+  std::uint64_t probe_hops = 0;
+  /// Placements whose owner load had changed between the load reply and
+  /// the placement's arrival (two-choice acting on stale information).
+  std::uint64_t stale_reads = 0;
+  std::uint64_t inserts = 0;
+  std::uint64_t lookups = 0;
+  /// Store workload (zero unless cfg.store_gets > 0).
+  std::uint64_t puts = 0;
+  std::uint64_t gets = 0;
+  std::uint64_t get_misses = 0;
+  /// Workload resends after a retransmit alarm (data_retransmits).
+  std::uint64_t retransmits = 0;
+  std::uint32_t max_load = 0;
+  std::vector<std::uint32_t> loads;  // final keys per node (ring order)
+  /// Owner node of every placed key, by insert op id — the map the store
+  /// phase writes through and the serving harness replays. Recorded for
+  /// every run (pure bookkeeping: no RNG, not hash-folded).
+  std::vector<std::uint32_t> placements;
+  /// Chord path length per lookup: forwards excluding the final delivery
+  /// hop onto the owner (the node before it already resolved the query).
+  /// Mean ~ 1/2 * log2(n); the full wire path is one hop longer.
+  stats::RunningStats lookup_hops;
+  stats::RunningStats insert_latency;  // simulated µs, like all latencies
+  stats::RunningStats lookup_latency;
+  stats::RunningStats get_latency;
+  stats::P2QuantileSet lookup_hops_q{{0.5, 0.9, 0.99}};
+  stats::P2QuantileSet insert_latency_q{{0.5, 0.9, 0.99}};
+  stats::P2QuantileSet lookup_latency_q{{0.5, 0.9, 0.99}};
+  stats::P2QuantileSet get_latency_q{{0.5, 0.9, 0.99}};
+  SimTime end_time = 0.0;
+  /// FNV-1a fold of every executed event (time, message fields): the
+  /// golden-trace fingerprint the determinism tests pin.
+  std::uint64_t trace_hash = 0xcbf29ce484222325ULL;
+};
+
+/// One executed event, for full-trace comparisons in tests.
+struct TraceEvent {
+  SimTime time = 0.0;
+  std::uint64_t seq = 0;
+  Message msg;
+
+  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
+};
+
+class NetSimulator {
+ public:
+  /// No op completing for this long (60 simulated s, 1,200 alarms) throws
+  /// std::runtime_error: every alarm would put more messages in flight.
+  static constexpr SimTime kStallUs = 60e6;
+
+  /// `ring` must outlive the simulator and must have finger tables built.
+  NetSimulator(const dht::ChordRing& ring, const NetConfig& cfg);
+  NetSimulator(const NetSimulator&) = delete;  // nodes hold port addresses
+  NetSimulator& operator=(const NetSimulator&) = delete;
+
+  /// Run the workload to completion. Single-shot: a simulator instance
+  /// cannot be rerun.
   NetMetrics run();
+
+  /// Executed-event trace (empty unless cfg.collect_trace).
+  [[nodiscard]] const std::vector<TraceEvent>& trace() const noexcept {
+    return trace_;
+  }
 
   /// Random ring of cfg.nodes with fingers, from the run's
   /// kServerPlacement substream — the ring simulate() uses.
@@ -59,6 +174,22 @@ class NetSimulator : public SimCore {
 
   /// make_ring + run in one call.
   [[nodiscard]] static NetMetrics simulate(const NetConfig& cfg);
+
+ private:
+  void execute(const MessageQueue::Event& e);
+  NetMetrics finish();
+
+  NetConfig cfg_;
+  SimNetwork net_;
+  std::vector<SimTransport> ports_;  // one per node, by node id
+  ClientDriver<SimTransport> driver_;
+  std::vector<NodeLogic<SimTransport>> nodes_;
+  std::uint64_t completed_ = 0;  // ops answered at the last progress check
+  SimTime progress_at_ = 0.0;    // when completed_ last moved
+  bool ran_ = false;
+  bool done_ = false;  // driver_.workload_done() as of the last reply
+  NetMetrics metrics_;
+  std::vector<TraceEvent> trace_;
 };
 
 }  // namespace geochoice::net

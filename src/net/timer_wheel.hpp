@@ -1,16 +1,17 @@
 // timer_wheel.hpp — a fixed-slot timer wheel for the real-world
 // transport.
 //
-// UdpTransport needs cheap, cancellable retransmit timers: every
+// Both transports need cheap, cancellable retransmit timers: every
 // in-flight operation arms one, and almost every one is cancelled (the
 // reply usually arrives first). A heap would pay O(log n) per arm and
 // leave cancelled entries to sift; the wheel pays O(1) for both. Time is
 // abstract ticks (the caller maps its clock — UdpTransport uses
-// milliseconds of CLOCK_MONOTONIC), entries live in a core::ObjectPool,
-// and cancel() is just a pool release: when the slot's tick comes
-// around, the stale generation makes try_get return nullptr and the
-// entry is skipped. Deadlines farther out than one revolution
-// (kSlots ticks) stay parked in their slot and re-queue each lap.
+// milliseconds of CLOCK_MONOTONIC, SimNetwork milliseconds of simulated
+// time), entries live in a core::ObjectPool, and cancel() is just a pool
+// release: when the slot's tick comes around, the stale generation makes
+// try_get return nullptr and the entry is skipped. Deadlines farther out
+// than one revolution (kSlots ticks) stay parked in their slot and
+// re-queue each lap. A wheel with nothing armed jumps to any tick at once.
 //
 // Not thread-safe — it belongs to the transport's single event-loop
 // thread, like everything else in that world.
@@ -63,6 +64,13 @@ class TimerWheel {
   /// slots and fire on a later advance even if due this tick.
   template <typename F>
   void advance(std::uint64_t now_tick, F&& on_fire) {
+    if (pool_.live() == 0) {  // parked entries are all cancelled: jump
+      if (now_tick > now_) {
+        for (auto& slot : slots_) slot.clear();
+        now_ = now_tick;
+      }
+      return;
+    }
     while (now_ < now_tick) {
       ++now_;
       auto& slot = slots_[slot_of(now_)];

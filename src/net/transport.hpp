@@ -1,52 +1,41 @@
 // transport.hpp — the seam between node protocol logic and the world
 // that moves its messages.
 //
-// The same Chord + two-choice protocol runs in two worlds:
+// The Chord + two-choice protocol is written once, as NodeLogic and
+// ClientDriver (node.hpp), templates over a transport that gives a node
+// send(m) to m.at; schedule / cancel / armed for a retransmit alarm of
+// whole milliseconds; self(); and now_us(). Two worlds implement it:
 //
-//   * SimTransport (here): a deterministic discrete-event world. "Sending"
-//     a message samples one link delay from the run's LatencyModel
-//     substream and schedules the message on the calendar-queue
-//     MessageQueue; simulated time is whatever the drive loop pops next.
-//     This is the event loop NetSimulator has always run on, extracted so
-//     the protocol handlers in SimCore talk to a transport surface instead
-//     of a queue they own.
-//   * UdpTransport (udp_transport.hpp): the real world. Sending encodes
-//     the message with the fixed wire codec (wire.hpp) into a buffer per
-//     destination node; each poll() drains the socket, then writes every
-//     buffer as one UDP GSO sendmsg. The receiver (UDP GRO) reads the
-//     bundle whole and cuts it into frames by the segment size the
-//     kernel reports. A message a node addresses to itself stays
-//     in-process, handled within the same poll(). Delivery order and
-//     timing are whatever the kernel and the network do, and timers come
-//     from a timer wheel against the monotonic clock.
+//   * SimTransport (here): one per node of a NetSimulator run, onto the
+//     run's SimNetwork. A message to another node arrives after one link
+//     delay from the LatencyModel substream, one to itself after zero
+//     delay and no draw. Time is in simulated microseconds; alarms sit on
+//     a TimerWheel of simulated milliseconds, outside the event queue.
+//   * UdpTransport (udp_transport.hpp): the real world — UDP GSO bundles
+//     out, UDP GRO in, self-addressed messages in-process, alarms on
+//     CLOCK_MONOTONIC.
 //
-// Both expose the same three verbs the protocol needs — send one message
-// to its `at` node, deliver a message locally, schedule a timer — so node
-// logic written against the seam (net/node.hpp, net/sim_core.hpp) cannot
-// tell which world it is in. That is the point: the simulator is the
-// differential oracle for the served system.
-//
-// Determinism note (SimTransport): link sends draw from the latency
-// engine in exactly the order send() is called — the same order the
-// pre-seam SimCore consumed its kNetLatency substream — so extracting the
-// transport moved no draw and the pinned golden trace hashes are
-// unchanged.
+// The protocol cannot tell the worlds apart, so the simulator is a
+// differential oracle that runs the served code. Both count every send in
+// links(), self-addressed ones included.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 
 #include "net/latency.hpp"
 #include "net/message.hpp"
+#include "net/timer_wheel.hpp"
 #include "rng/xoshiro256.hpp"
 
 namespace geochoice::net {
 
 /// Per-type link-traversal counters every transport keeps: the wire cost
-/// of the protocol, identical in meaning across worlds (simulated link
-/// traversals there, protocol sends — UDP datagrams plus self-addressed
-/// messages — in UdpTransport).
+/// of the protocol, identical in meaning across worlds (protocol sends,
+/// self-addressed ones included).
 struct LinkCounters {
   std::uint64_t total = 0;
   std::array<std::uint64_t, kMsgTypeCount> by_type{};
@@ -57,50 +46,113 @@ struct LinkCounters {
   }
 };
 
-/// The discrete-event transport: one calendar queue of in-flight
-/// messages, one latency substream. The drive loop (the simulation
-/// engine) owns time: it pops events and hands them to the protocol
-/// handlers, which respond through send()/deliver_local().
-class SimTransport {
+/// The discrete-event world of one simulation run: the calendar queue of
+/// in-flight messages, the latency substream, the link counters, the
+/// simulated clock and the alarm wheel. Link delays are drawn in send
+/// order and messages delivered in (time, schedule order), so a run is a
+/// function of (seed, config) alone.
+class SimNetwork {
  public:
+  using Timer = TimerWheel<Message>::Id;
+
+  /// Simulated microseconds per alarm-clock tick.
+  static constexpr SimTime kTickUs = 1000.0;
+
   /// `latency_engine` must be the run's kNetLatency substream;
   /// `width_hint` seeds the calendar queue's day width.
-  SimTransport(const LatencyModel& latency, rng::DefaultEngine latency_engine,
-               SimTime width_hint)
+  SimNetwork(const LatencyModel& latency, rng::DefaultEngine latency_engine,
+             SimTime width_hint)
       : latency_(latency),
         gen_(std::move(latency_engine)),
         queue_(width_hint) {}
 
-  /// One link traversal to m.at: sample a delay, schedule the delivery.
-  void send(SimTime now, const Message& m) {
+  /// To another node after one link delay; to itself after none, no draw.
+  void send(std::uint32_t from, const Message& m) {
     links_.count(m.type);
-    queue_.push(now + latency_.sample(gen_), m);
+    queue_.push(m.at == from ? now_ : now_ + latency_.sample(gen_), m);
   }
 
-  /// Zero-delay self-delivery: an operation starting at its own client
-  /// costs no link.
-  void deliver_local(SimTime now, const Message& m) { queue_.push(now, m); }
-
-  /// A local timer: deliver `m` back to its own node after `delay`. In
-  /// the simulated world a timer is just a scheduled self-delivery.
-  void schedule(SimTime now, SimTime delay, const Message& m) {
-    queue_.push(now + delay, m);
+  /// Arm an alarm `delay_ms` ticks after the clock's current tick.
+  Timer schedule(std::uint64_t delay_ms, const Message& m) {
+    // step() moves the clock only while alarms are armed; an idle clock
+    // catches up here, in one jump.
+    if (wheel_.pending() == 0) {
+      wheel_.advance(tick_before(now_), [](const Message&) {});
+    }
+    return wheel_.schedule(delay_ms, m);
   }
+  void cancel(Timer t) { wheel_.cancel(t); }
+  [[nodiscard]] bool armed(Timer t) const noexcept { return wheel_.armed(t); }
 
-  /// The event schedule, exposed to the drive loop only — protocol
-  /// handlers never touch it.
-  [[nodiscard]] MessageQueue& queue() noexcept { return queue_; }
-
-  [[nodiscard]] const LatencyModel& latency() const noexcept {
-    return latency_;
-  }
+  /// The time of the message being delivered, or of the tick being fired.
+  [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] const LinkCounters& links() const noexcept { return links_; }
+
+  /// The drive loop's step: fire the alarm clock's next tick, at that
+  /// tick's time, when alarms are armed and it comes strictly before the
+  /// next message (a message at the tick's own instant goes first); else
+  /// deliver that message. False when nothing is queued or armed.
+  template <typename OnMessage, typename OnAlarm>
+  bool step(OnMessage&& on_message, OnAlarm&& on_alarm) {
+    const bool armed = wheel_.pending() > 0;
+    if (queue_.empty() && !armed) return false;
+    const std::uint64_t tick = wheel_.now() + 1;
+    if (armed && (queue_.empty() || tick_time(tick) < queue_.next_time())) {
+      now_ = std::max(now_, tick_time(tick));
+      wheel_.advance(tick, on_alarm);
+      return true;
+    }
+    const MessageQueue::Event e = queue_.pop();
+    now_ = e.time;
+    on_message(e);
+    return true;
+  }
+
+  /// The last alarm-clock tick strictly before time `t`: where the clock
+  /// stands while the messages at `t` are delivered. Saturates at 2^62
+  /// (1.5e8 simulated years), so it is defined for every time the queue
+  /// can hold.
+  [[nodiscard]] static std::uint64_t tick_before(SimTime t) noexcept {
+    const double k = std::ceil(t / kTickUs) - 1.0;
+    if (!(k > 0.0)) return 0;
+    constexpr double kMaxTick = 0x1p62;
+    return static_cast<std::uint64_t>(std::min(k, kMaxTick));
+  }
+  [[nodiscard]] static SimTime tick_time(std::uint64_t tick) noexcept {
+    return static_cast<SimTime>(tick) * kTickUs;
+  }
 
  private:
   LatencyModel latency_;
   rng::DefaultEngine gen_;
   MessageQueue queue_;
+  TimerWheel<Message> wheel_;
   LinkCounters links_;
+  SimTime now_ = 0.0;
+};
+
+/// One node's view of the SimNetwork: the transport surface NodeLogic and
+/// ClientDriver compile against.
+class SimTransport {
+ public:
+  using Timer = SimNetwork::Timer;
+
+  SimTransport(SimNetwork& network, std::uint32_t self) noexcept
+      : net_(&network), self_(self) {}
+
+  void send(const Message& m) { net_->send(self_, m); }
+  Timer schedule(std::uint64_t delay_ms, const Message& m) {
+    return net_->schedule(delay_ms, m);
+  }
+  void cancel(Timer t) { net_->cancel(t); }
+  [[nodiscard]] bool armed(Timer t) const noexcept { return net_->armed(t); }
+  [[nodiscard]] std::uint32_t self() const noexcept { return self_; }
+  /// SimTime, not an integer: simulated latencies keep their precision.
+  [[nodiscard]] SimTime now_us() const noexcept { return net_->now(); }
+
+ private:
+  SimNetwork* net_;
+  std::uint32_t self_;
 };
 
 }  // namespace geochoice::net

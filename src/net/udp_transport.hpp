@@ -10,13 +10,13 @@
 // the two-phase setup: bind everyone, learn the ports, then exchange
 // the table).
 //
-// The surface mirrors SimTransport verb-for-verb — send one message to
-// its `at` node, deliver locally, schedule a timer — so NodeLogic and
-// the client driver (node.hpp) compile against either world unchanged.
-// The one honest difference: the real world has no global clock, so
-// poll() pumps the socket and the wheel instead of a drive loop popping
-// a queue, and fired timers arrive through their own callback (a timer
-// here is a local retransmit alarm, not a simulated event).
+// The node-facing surface matches SimTransport's — send one message to
+// its `at` node, schedule / cancel / armed for a retransmit alarm,
+// self(), now_us() — so NodeLogic and ClientDriver (node.hpp) compile
+// against either world unchanged. The one honest difference: the real
+// world has no global clock, so poll() pumps the socket and the wheel
+// instead of a drive loop popping a queue, and fired timers arrive
+// through their own callback.
 //
 // What a message costs the kernel. On loopback a lone 64-byte frame
 // costs ~2.5 us to send and ~0.5 us to receive, while the protocol's own
@@ -150,8 +150,7 @@ class UdpTransport {
   void send(const Message& m);
 
   /// Local delivery without touching the wire: handed to on_message by
-  /// the next (or the running) poll(), mirroring
-  /// SimTransport::deliver_local.
+  /// the next (or the running) poll(), like a send to this node.
   void deliver_local(const Message& m) { local_.push_back(m); }
 
   /// Arm a retransmit alarm: `m` comes back through poll()'s on_timer

@@ -5,18 +5,19 @@
 // One recorder observes one trial. The phases cover a message's life in
 // every world the repo runs it in:
 //
-//   scheduled      handed to a transport (SimTransport::send or a real
-//                  UDP datagram leaving ClientDriver)
-//   popped         dequeued by the DES engine for execution
+//   scheduled      an op's first message, handed to its transport by
+//                  ClientDriver
+//   popped         dequeued by the simulator's drive loop for delivery
 //   forwarded      routed one Chord hop toward the owner
 //   delivered      arrived at its destination handler
 //   retransmitted  a timeout fired and the message was sent again
 //
 // `--transport=sim` and `--transport=udp` emit the SAME schema: instant
 // events ("ph":"i") with ts in microseconds, tid = the node acting on
-// the message, and args carrying op/key routing detail. Simulator time
-// is abstract; one sim time unit renders as one millisecond so traces
-// from both transports land on comparable scales.
+// the message, and args carrying op/key routing detail: NodeLogic and
+// ClientDriver record them in both worlds. One simulated time unit is one
+// microsecond in exported traces, as ClientDriver reads it from now_us(),
+// so traces from both transports land on the same scale.
 //
 // The recorder is intentionally NOT thread-safe: every engine that feeds
 // it is single-threaded where messages are observed (the DES loop of one
@@ -24,13 +25,16 @@
 // overwrites the oldest records when full and counts what it dropped.
 //
 // With GEOCHOICE_OBS=OFF, record() is an inline no-op (call sites fold
-// away) and the exporter returns an empty-but-valid trace.
+// away) and the exporter returns an empty-but-valid trace;
+// obs::compiled_in() (registry.hpp) tells the two apart.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/registry.hpp"
 
 namespace geochoice::obs {
 

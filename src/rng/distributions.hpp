@@ -145,6 +145,12 @@ template <Engine64 G>
 /// from the tail branch. Marsaglia & Tsang's value for 256 layers.
 inline constexpr double kZigguratR = 3.6541528853610088;
 
+/// normal() never returns |z| >= kNormalMax. The layers return less than
+/// their pseudo-width x[0] ~ 3.91, and the tail returns R + e with e =
+/// -log1p(-u) / R for a 53-bit uniform u <= 1 - 2^-53, so e <= 53 ln 2 / R
+/// = 10.054 and |z| <= 13.7077.
+inline constexpr double kNormalMax = 13.71;
+
 namespace detail {
 
 inline constexpr std::size_t kZigguratLayers = 256;

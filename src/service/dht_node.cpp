@@ -19,7 +19,8 @@
 //     if every operation completed. This is the "run it for real" entry
 //     point — and the printed max load is directly comparable to the
 //     NetSimulator oracle for the same --seed/--nodes/--keys/--choices
-//     with a deterministic --tie.
+//     with a deterministic --tie: the simulator runs the same NodeLogic
+//     and ClientDriver, over simulated links.
 //
 // Flags (shared): --nodes, --port-base, --seed, --trial, --choices,
 // --tie (first|lowest|random), --keys, --lookups, --gets, --zipf,
@@ -50,6 +51,7 @@
 #include "core/tie_breaking.hpp"
 #include "dht/chord.hpp"
 #include "net/node.hpp"
+#include "net/protocol.hpp"
 #include "net/udp_transport.hpp"
 #include "rng/streams.hpp"
 #include "sim/cli.hpp"
@@ -208,17 +210,10 @@ int drive(const Options& opt) {
     transport.poll(
         1,
         [&](const net::Message& m) {
-          switch (m.type) {
-            case net::MsgType::kProbe:
-            case net::MsgType::kPlace:
-            case net::MsgType::kLookup:
-            case net::MsgType::kPut:
-            case net::MsgType::kGet:
-              node.on_message(m);
-              return;
-            default:
-              driver.on_reply(m);
-              return;
+          if (net::protocol::is_request(m.type)) {
+            node.on_message(m);
+          } else {
+            driver.on_reply(m);
           }
         },
         [&](const net::Message& t) { driver.on_timer(t); });

@@ -43,7 +43,9 @@ struct NetScenarioResult {
   double lookup_latency_p50 = 0.0;
   double lookup_latency_p90 = 0.0;
   double lookup_latency_p99 = 0.0;
-  /// Wire cost: mean link traversals and probe-routing hops per insert.
+  /// Wire cost: mean protocol sends of the insert kinds (probe, probe
+  /// reply, place, ack; self-addressed ones included, so the client's d
+  /// probes to itself count) and probe-routing hops per insert.
   double links_per_insert = 0.0;
   double probe_hops_per_insert = 0.0;
   /// Fraction of placements that acted on a stale load reply.

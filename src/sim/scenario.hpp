@@ -167,8 +167,8 @@ struct Scenario {
 /// Per-message metrics a wire-model run reports next to the max-load
 /// distribution. Latency/hop percentiles are per-trial P² estimates
 /// averaged over trials (run_net_scenario's aggregation). Units differ by
-/// transport: kSim latencies are simulated time, kUdp latencies are real
-/// microseconds. The hop/event fields are kSim-only (the real cluster does
+/// transport: kSim latencies are simulated microseconds, kUdp latencies
+/// are real ones. The hop/event fields are kSim-only (the real cluster does
 /// not trace per-message routing); the datagram counters are kUdp-only.
 struct WireMetrics {
   bool present = false;  // true iff the report came from ExecModel::kWire
@@ -182,8 +182,9 @@ struct WireMetrics {
   double lookup_latency_p50 = 0.0;
   double lookup_latency_p90 = 0.0;
   double lookup_latency_p99 = 0.0;
-  /// Wire cost per insert: link traversals (kSim) or UdpTransport
-  /// protocol sends, self-addressed ones included (kUdp).
+  /// Wire cost per insert: protocol sends, self-addressed ones included
+  /// (the client's d probes to itself among them) — the insert kinds'
+  /// links in kSim, every UdpTransport send in kUdp.
   double links_per_insert = 0.0;
   double probe_hops_per_insert = 0.0;
   /// Fraction of placements that acted on a stale load reply.

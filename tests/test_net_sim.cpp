@@ -10,11 +10,15 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "chi_squared_bins.hpp"
 #include "core/process.hpp"
 #include "net/net.hpp"
+#include "net/protocol.hpp"
+#include "net/udp_transport.hpp"
 #include "obs/obs.hpp"
 #include "rng/rng.hpp"
 #include "sim/net_experiment.hpp"
@@ -192,6 +196,21 @@ TEST(LatencyModel, Validation) {
     EXPECT_NE(std::string(e.what()).find("finite"), std::string::npos)
         << e.what();
   }
+  // A lognormal's largest delay is exp(mu + kNormalMax * sigma): finite
+  // just below the bound, overflowing just above it.
+  const double edge = std::log(std::numeric_limits<double>::max());
+  EXPECT_NO_THROW(
+      gn::LatencyModel::lognormal(0.0, 0.999 * edge / gr::kNormalMax)
+          .validate());
+  EXPECT_THROW(
+      gn::LatencyModel::lognormal(0.0, 1.001 * edge / gr::kNormalMax)
+          .validate(),
+      std::invalid_argument);
+  EXPECT_NO_THROW(gn::LatencyModel::lognormal(700.0, 0.6).validate());
+  EXPECT_THROW(gn::LatencyModel::lognormal(700.0, 0.8).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(gn::LatencyModel::lognormal(0.0, 200.0).validate(),
+               std::invalid_argument);
   EXPECT_EQ(gn::latency_kind_from_string("lognormal"),
             gn::LatencyKind::kLognormal);
   EXPECT_THROW((void)gn::latency_kind_from_string("warp"),
@@ -307,7 +326,7 @@ TEST(NetSim, GoldenTraceHash) {
   // routing logic fails here loudly. Uniform latency keeps the arithmetic
   // to IEEE mul/add (no libm), so the hash is bit-stable.
   const auto m = gn::NetSimulator::simulate(mixed_config());
-  EXPECT_EQ(m.trace_hash, 0x59434247df5e10ecULL);
+  EXPECT_EQ(m.trace_hash, 0x69599c94123ee8bcULL);
 }
 
 TEST(NetSim, GoldenTraceHashUnchangedWithObsAndTracing) {
@@ -322,7 +341,7 @@ TEST(NetSim, GoldenTraceHashUnchangedWithObsAndTracing) {
   cfg.trace = &rec;
   const auto m = gn::NetSimulator::simulate(cfg);
   obs::set_enabled(false);
-  EXPECT_EQ(m.trace_hash, 0x59434247df5e10ecULL);
+  EXPECT_EQ(m.trace_hash, 0x69599c94123ee8bcULL);
   if (obs::compiled_in()) {
     EXPECT_GT(rec.size(), 0u);  // the recorder really saw the run
     bool counted_events = false;
@@ -361,7 +380,7 @@ TEST(NetSim, StoreWorkloadGoldenTraceHash) {
   EXPECT_EQ(m.gets, 256u);
   EXPECT_EQ(m.get_misses, 0u);
   EXPECT_GT(m.get_latency.count(), 0u);
-  EXPECT_EQ(m.trace_hash, 0xb5e9d7a646c23c91ULL);
+  EXPECT_EQ(m.trace_hash, 0xbe7423044176fd1cULL);
 }
 
 TEST(NetSim, StoreWorkloadRecordsPlacements) {
@@ -471,6 +490,271 @@ TEST(NetSim, WideWindowReadsGoStale) {
   cfg.window = 64;
   const auto m = gn::NetSimulator::simulate(cfg);
   EXPECT_GT(m.stale_reads, 0u);
+}
+
+// ----------------------------------------- the served protocol, simulated
+
+namespace {
+
+using Delivery = gn::MessageQueue::Event;
+
+/// Step `net` until nothing is queued or armed; returns the deliveries.
+std::vector<Delivery> drain(gn::SimNetwork& net) {
+  std::vector<Delivery> out;
+  while (net.step([&](const Delivery& e) { out.push_back(e); },
+                  [](const gn::Message&) {})) {
+  }
+  return out;
+}
+
+bool same_delivery(const Delivery& a, const Delivery& b) {
+  return a.time == b.time && a.seq == b.seq && a.payload == b.payload;
+}
+
+}  // namespace
+
+TEST(NetSim, SelfSendsAreImmediateDrawNothingAndCountAsLinks) {
+  // A message a node sends to itself arrives after zero delay and draws
+  // no delay, and links() counts it, as UdpTransport::links() does.
+  const auto model = gn::LatencyModel::lognormal(0.0, 1.0);
+  gn::SimNetwork net(model,
+                     gr::make_stream(7, 0, gr::StreamPurpose::kNetLatency),
+                     1.0);
+  gn::Message m;
+  m.at = 3;
+  net.send(3, m);
+  m.at = 5;
+  net.send(3, m);
+  EXPECT_EQ(net.links().total, 2u);
+  const auto got = drain(net);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].payload.at, 3u);
+  EXPECT_EQ(got[0].time, 0.0);
+  auto ref = gr::make_stream(7, 0, gr::StreamPurpose::kNetLatency);
+  EXPECT_EQ(got[1].time, model.sample(ref));  // the link took draw one
+}
+
+TEST(NetSim, OneNodeRingRunsOnSelfSendsAlone) {
+  gn::NetConfig cfg;
+  cfg.nodes = 1;
+  cfg.keys = 8;
+  cfg.lookups = 4;
+  cfg.latency = gn::LatencyModel::constant(7.0);
+  const auto m = gn::NetSimulator::simulate(cfg);
+  EXPECT_EQ(m.end_time, 0.0);
+  EXPECT_EQ(m.insert_latency.max(), 0.0);
+  EXPECT_EQ(m.lookup_latency.max(), 0.0);
+  EXPECT_EQ(m.loads, std::vector<std::uint32_t>{8});
+  EXPECT_EQ(m.links, m.events + 1);  // + the census probe, never delivered
+}
+
+TEST(NetSim, LatenciesKeepSimTimePrecision) {
+  // The client's op clocks take the type of its transport's now_us().
+  static_assert(std::is_same_v<gn::ClientDriver<gn::SimTransport>::Clock,
+                               gn::SimTime>);
+  static_assert(std::is_same_v<gn::ClientDriver<gn::UdpTransport>::Clock,
+                               std::uint64_t>);
+  // At window 1 with a constant delay, halving the delay halves every
+  // event time exactly, and so every latency: none is rounded to whole
+  // microseconds.
+  auto cfg = mixed_config();
+  cfg.window = 1;
+  cfg.latency = gn::LatencyModel::constant(0.3);
+  const auto a = gn::NetSimulator::simulate(cfg);
+  cfg.latency = gn::LatencyModel::constant(0.15);
+  const auto b = gn::NetSimulator::simulate(cfg);
+  EXPECT_GT(b.insert_latency.mean(), 0.0);
+  EXPECT_EQ(a.insert_latency.mean(), 2.0 * b.insert_latency.mean());
+  EXPECT_EQ(a.insert_latency.max(), 2.0 * b.insert_latency.max());
+  EXPECT_EQ(a.lookup_latency.mean(), 2.0 * b.lookup_latency.mean());
+  EXPECT_EQ(a.end_time, 2.0 * b.end_time);
+}
+
+TEST(NetSim, AlarmsRunOnSimulatedTime) {
+  // 1 ms = 1,000 simulated us: an alarm of 50 ms armed at time 0 fires at
+  // 50,000, after the message that lands at that same instant. A message
+  // the alarm sends overtakes one already due later.
+  gn::SimNetwork net(gn::LatencyModel::constant(50'000.0),
+                     gr::make_stream(8, 0, gr::StreamPurpose::kNetLatency),
+                     1.0);
+  gn::Message m;
+  m.at = 1;
+  m.op = 7;
+  net.send(0, m);  // lands at 50 ms
+  m.op = 8;
+  net.send(0, m);  // lands at 50 ms, after op 7
+  gn::Message alarm;
+  alarm.op = 42;
+  (void)net.schedule(50, alarm);
+  m.op = 9;
+  m.at = 0;
+  // (time, op): deliveries, and the alarm at the time it fired.
+  std::vector<std::pair<gn::SimTime, std::uint64_t>> log;
+  while (net.step(
+      [&](const Delivery& e) {
+        log.emplace_back(e.time, e.payload.op);
+        if (e.payload.op == 7) {
+          m.op = 10;
+          m.at = 1;
+          net.send(0, m);  // 100 ms
+          // The clock still stands on tick 49 (tick 50 fires after the
+          // messages at its instant): 20 ticks on is 69 ms.
+          (void)net.schedule(20, alarm);
+        }
+      },
+      [&](const gn::Message& t) {
+        log.emplace_back(net.now(), t.op);
+        m.op = 11;
+        m.at = 0;
+        net.send(0, m);  // to itself: at once, before op 10 at 100 ms
+      })) {
+  }
+  using Entry = std::pair<gn::SimTime, std::uint64_t>;
+  EXPECT_EQ(log, (std::vector<Entry>{{50'000.0, 7},
+                                     {50'000.0, 8},
+                                     {50'000.0, 42},
+                                     {50'000.0, 11},
+                                     {69'000.0, 42},
+                                     {69'000.0, 11},
+                                     {100'000.0, 10}}));
+}
+
+TEST(NetSim, AlarmClockTicksAreDefinedForEveryTime) {
+  using N = gn::SimNetwork;
+  constexpr std::uint64_t kCap = std::uint64_t{1} << 62;
+  const double max = std::numeric_limits<double>::max();
+  EXPECT_EQ(N::tick_before(0.0), 0u);
+  EXPECT_EQ(N::tick_before(1000.0), 0u);
+  EXPECT_EQ(N::tick_before(1000.5), 1u);
+  EXPECT_EQ(N::tick_before(50'000.0), 49u);
+  EXPECT_EQ(N::tick_before(max), kCap);
+  EXPECT_EQ(N::tick_before(std::numeric_limits<double>::infinity()), kCap);
+  // An alarm armed at the largest finite time still fires, once.
+  gn::SimNetwork net(gn::LatencyModel::constant(max),
+                     gr::make_stream(9, 0, gr::StreamPurpose::kNetLatency),
+                     1.0);
+  gn::Message m;
+  m.at = 1;
+  net.send(0, m);
+  int fired = 0;
+  while (net.step(
+      [&](const Delivery&) {
+        EXPECT_EQ(net.now(), max);
+        (void)net.schedule(50, m);
+      },
+      [&](const gn::Message&) { ++fired; })) {
+  }
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(net.now(), max);
+}
+
+TEST(NetSim, CancelledAlarmsLeaveTheScheduleUntouched) {
+  // Alarms live outside the event queue: arming and cancelling one per
+  // send changes no delivery time, schedule number or message.
+  const auto model = gn::LatencyModel::uniform(0.5, 1.5);
+  gn::SimNetwork plain(
+      model, gr::make_stream(10, 0, gr::StreamPurpose::kNetLatency), 1.0);
+  gn::SimNetwork alarmed(
+      model, gr::make_stream(10, 0, gr::StreamPurpose::kNetLatency), 1.0);
+  std::vector<Delivery> a, b;
+  const auto step = [](gn::SimNetwork& net, std::vector<Delivery>& out) {
+    return net.step([&](const Delivery& e) { out.push_back(e); },
+                    [](const gn::Message&) { ADD_FAILURE() << "fired"; });
+  };
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    gn::Message m;
+    m.at = i % 4;
+    m.op = i;
+    plain.send(1, m);
+    alarmed.send(1, m);
+    alarmed.cancel(alarmed.schedule(50, m));
+    if (i % 4 == 3) {
+      ASSERT_TRUE(step(plain, a));
+      ASSERT_TRUE(step(alarmed, b));
+    }
+  }
+  while (step(plain, a)) {
+  }
+  while (step(alarmed, b)) {
+  }
+  ASSERT_EQ(a.size(), 64u);
+  ASSERT_EQ(b.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(same_delivery(a[i], b[i])) << i;
+  }
+  EXPECT_EQ(plain.links().total, alarmed.links().total);
+}
+
+TEST(NetSim, RunEndsWhenTheWorkloadDrains) {
+  // The last answer ends the run: every message sent before it was
+  // delivered, and the census probe the client sends at that moment is
+  // not. The loads come from the nodes.
+  auto cfg = mixed_config();
+  cfg.collect_trace = true;
+  const auto ring = gn::NetSimulator::make_ring(cfg);
+  gn::NetSimulator sim(ring, cfg);
+  const auto m = sim.run();
+  EXPECT_EQ(m.links, m.events + 1);
+  for (const auto& e : sim.trace()) {
+    EXPECT_FALSE(e.msg.type == gn::MsgType::kProbe &&
+                 e.msg.probe == gn::protocol::kCensusProbe);
+  }
+  EXPECT_EQ(m.end_time, sim.trace().back().time);
+  EXPECT_EQ(std::accumulate(m.loads.begin(), m.loads.end(), std::uint64_t{0}),
+            cfg.keys);
+  EXPECT_EQ(m.retransmits, 0u);
+}
+
+TEST(NetSim, RetransmitsWhenLinksOutlastTheAlarm) {
+  // Every link takes 60 ms, past the client's 50 ms retransmit alarm: ops
+  // resend, the owners' at-most-once set keeps each key placed once, and
+  // the run stays a function of (seed, config).
+  gn::NetConfig cfg;
+  cfg.nodes = 16;
+  cfg.keys = 64;
+  cfg.window = 4;
+  cfg.lookups = 16;
+  cfg.store_gets = 32;
+  cfg.latency = gn::LatencyModel::constant(60'000.0);
+  const auto m = gn::NetSimulator::simulate(cfg);
+  EXPECT_GT(m.retransmits, 0u);
+  EXPECT_EQ(m.inserts, cfg.keys);
+  EXPECT_EQ(m.lookups, cfg.lookups);
+  EXPECT_EQ(m.puts, cfg.keys);
+  EXPECT_EQ(m.gets, cfg.store_gets);
+  EXPECT_EQ(m.get_misses, 0u);
+  EXPECT_EQ(std::accumulate(m.loads.begin(), m.loads.end(), std::uint64_t{0}),
+            cfg.keys);
+  std::vector<std::uint32_t> by_owner(m.loads.size(), 0);
+  for (const std::uint32_t owner : m.placements) ++by_owner[owner];
+  EXPECT_EQ(by_owner, m.loads);
+  EXPECT_EQ(gn::NetSimulator::simulate(cfg).trace_hash, m.trace_hash);
+}
+
+TEST(NetSim, SimulateWorkloadNeverRetransmits) {
+  // perfbench's `simulate` configuration: its delays (median 40 us) never
+  // come near the 50 ms alarm.
+  gn::NetConfig cfg;
+  cfg.nodes = 1 << 10;
+  cfg.keys = 1 << 14;
+  cfg.lookups = 1 << 12;
+  cfg.window = 64;
+  cfg.tie = gc::TieBreak::kFirstChoice;
+  cfg.latency = simulate_latency();
+  const auto m = gn::NetSimulator::simulate(cfg);
+  EXPECT_EQ(m.retransmits, 0u);
+  EXPECT_EQ(m.inserts, cfg.keys);
+  EXPECT_EQ(m.lookups, cfg.lookups);
+}
+
+TEST(NetSim, StalledRunThrows) {
+  // 1,000 s per link: no op can finish inside the 60 s of simulated time
+  // the drive loop allows without progress.
+  gn::NetConfig cfg;
+  cfg.nodes = 16;
+  cfg.keys = 4;
+  cfg.latency = gn::LatencyModel::constant(1e9);
+  EXPECT_THROW((void)gn::NetSimulator::simulate(cfg), std::runtime_error);
 }
 
 // ---------------------------------------------------- paper validation

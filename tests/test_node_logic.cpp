@@ -216,4 +216,34 @@ TEST(NodeLogicServer, DuplicatePlaceBumpsLoadOnce) {
   EXPECT_EQ(transport.sent_of(net::MsgType::kPlaceAck), 2u);  // ack resent
 }
 
+TEST(NodeLogicServer, AtMostOnceHoldsForEveryPlacement) {
+  // The dedup set keeps every placement it applied, not a recent window:
+  // a retransmit of the first of 5,000 placements is acked and not
+  // counted.
+  const auto ring = make_ring(2);
+  FakeTransport transport;
+  net::NodeLogic<FakeTransport> node(ring, 0, transport);
+
+  net::Message place;
+  place.type = net::MsgType::kPlace;
+  place.at = 0;
+  place.client = 1;
+  constexpr std::uint64_t kPlacements = 5000;
+  for (std::uint64_t op = 0; op < kPlacements; ++op) {
+    place.op = op;
+    place.load = static_cast<std::uint32_t>(op);
+    node.on_message(place);
+  }
+  ASSERT_EQ(node.load(), kPlacements);
+
+  place.op = 0;
+  place.load = 0;
+  node.on_message(place);
+  EXPECT_EQ(node.load(), kPlacements);
+  EXPECT_EQ(transport.sent_of(net::MsgType::kPlaceAck), kPlacements + 1);
+  EXPECT_EQ(transport.sent.back().type, net::MsgType::kPlaceAck);
+  EXPECT_EQ(transport.sent.back().op, 0u);
+  EXPECT_EQ(node.stale_reads(), 0u);
+}
+
 }  // namespace

@@ -58,8 +58,8 @@ gn::NetConfig store_config() {
   return cfg;
 }
 
-constexpr std::uint64_t kGoldenHash = 0x59434247df5e10ecULL;
-constexpr std::uint64_t kStoreGoldenHash = 0xb5e9d7a646c23c91ULL;
+constexpr std::uint64_t kGoldenHash = 0x69599c94123ee8bcULL;
+constexpr std::uint64_t kStoreGoldenHash = 0xbe7423044176fd1cULL;
 
 /// One trial's metrics, and its executed-event trace when the config
 /// collects one.
