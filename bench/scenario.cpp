@@ -238,6 +238,11 @@ int main(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "scenario: %s\n", e.what());
     return 2;
+  } catch (const std::exception& e) {
+    // A spec that validates but cannot run (say link delays so long that
+    // no operation ever completes) fails the run, not the process.
+    std::fprintf(stderr, "scenario: %s\n", e.what());
+    return 1;
   }
   std::fputs(gm::render_run_summary(report).c_str(), stdout);
 

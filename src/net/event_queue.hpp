@@ -34,8 +34,10 @@
 //     which is where the calendar used to trail the heap on the flood
 //     bench (BENCH_event_queue.json's calendar_vs_heap_flood).
 //
-// Payloads live in a core::ObjectPool slab, so bucket entries are 24-byte
-// (time, seq, handle) records — cheap to shift during sorted insert — and
+// Events pushed at the time of the last pop (a DES's zero-delay sends)
+// skip the calendar for a FIFO lane, in (time, seq) order by construction
+// as their seqs are the newest; pop takes the lane's head or the
+// calendar's minimum, whichever comes first. Events are stored whole, and
 // a drained-and-refilled queue allocates nothing in steady state.
 //
 // HeapEventQueue is the original binary-heap scheduler, kept as the
@@ -58,8 +60,6 @@
 #include <queue>
 #include <utility>
 #include <vector>
-
-#include "core/object_pool.hpp"
 
 namespace geochoice::net {
 
@@ -134,39 +134,48 @@ class EventQueue {
   /// Schedule `payload` at absolute time `t`.
   void push(SimTime t, Payload payload) {
     peeked_ = kNoPeek;
-    insert_entry(Entry{t, next_seq_++, pool_.emplace(std::move(payload))});
+    Event e{t, next_seq_++, std::move(payload)};
+    if (t == (lane_.empty() ? now_ : lane_.front().time)) {
+      lane_.v.push_back(std::move(e));
+      return;
+    }
+    insert_entry(std::move(e));
     ++size_;
     if (size_ > buckets_.size() * 2 && size_ > grow_guard_) {
       rebucket(buckets_.size() * 2);
     }
   }
 
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept {
+    return size_ == 0 && lane_.empty();
+  }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return size_ + (lane_.v.size() - lane_.head);
+  }
 
   /// Earliest event; among equal times, the one scheduled first.
   /// Precondition: !empty().
   Event pop() {
-    assert(size_ > 0);
-    Bucket& b = peeked_ != kNoPeek ? buckets_[peeked_] : find_min_bucket();
+    assert(!empty());
+    const std::size_t at = peeked_ != kNoPeek ? peeked_ : find_min();
     peeked_ = kNoPeek;
-    const Entry e = b.take_front();
-    --size_;
-    Event out{e.time, e.seq, std::move(pool_.get(e.handle))};
-    pool_.release(e.handle);
-    if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 2) {
-      rebucket(buckets_.size() / 2);
+    Event out = (at == kLane ? lane_ : buckets_[at]).take_front();
+    now_ = out.time;
+    if (at != kLane) {
+      --size_;
+      if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 2) {
+        rebucket(buckets_.size() / 2);
+      }
     }
     return out;
   }
 
   /// Time of the event pop() would return next, leaving it queued; a
-  /// pop() right after reuses the bucket found. Precondition: !empty().
+  /// pop() right after reuses the search. Precondition: !empty().
   [[nodiscard]] SimTime next_time() {
-    assert(size_ > 0);
-    const Bucket& b = find_min_bucket();
-    peeked_ = static_cast<std::size_t>(&b - buckets_.data());
-    return b.front().time;
+    assert(!empty());
+    peeked_ = find_min();
+    return (peeked_ == kLane ? lane_ : buckets_[peeked_]).front().time;
   }
 
   /// Total events ever scheduled (the sequence counter).
@@ -176,30 +185,22 @@ class EventQueue {
   [[nodiscard]] std::size_t bucket_count() const noexcept {
     return buckets_.size();
   }
-  [[nodiscard]] SimTime bucket_width() const noexcept { return width_; }
   [[nodiscard]] std::uint64_t resizes() const noexcept { return resizes_; }
 
  private:
-  using Handle = typename core::ObjectPool<Payload>::Handle;
-
-  struct Entry {
-    SimTime time = 0.0;
-    std::uint64_t seq = 0;
-    Handle handle;
-  };
-
-  /// A day's events, sorted ascending by (time, seq). `head` is a popped
-  /// prefix, compacted lazily so draining a flooded bucket (every event at
-  /// one timestamp) stays amortized O(1) instead of O(n) per pop.
+  /// A day's events (or the lane's), sorted ascending by (time, seq).
+  /// `head` is a popped prefix, compacted lazily so draining a flooded
+  /// bucket (every event at one timestamp) stays amortized O(1) instead of
+  /// O(n) per pop.
   struct Bucket {
-    std::vector<Entry> v;
+    std::vector<Event> v;
     std::size_t head = 0;
 
     [[nodiscard]] bool empty() const noexcept { return head == v.size(); }
-    [[nodiscard]] const Entry& front() const noexcept { return v[head]; }
+    [[nodiscard]] const Event& front() const noexcept { return v[head]; }
 
-    Entry take_front() {
-      Entry e = v[head++];
+    Event take_front() {
+      Event e = std::move(v[head++]);
       if (head == v.size()) {
         v.clear();
         head = 0;
@@ -214,6 +215,7 @@ class EventQueue {
 
   static constexpr std::size_t kMinBuckets = 16;  // power of two
   static constexpr std::size_t kNoPeek = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kLane = static_cast<std::size_t>(-2);
   /// Times at or beyond 2^62 days collapse onto one sentinel day: their
   /// bucket ordering stays exact (same comparisons), only the day-walk
   /// shortcut stops discriminating them — the direct-search fallback does.
@@ -242,7 +244,7 @@ class EventQueue {
     return static_cast<std::uint64_t>(d);
   }
 
-  void insert_entry(const Entry& e) {
+  void insert_entry(Event&& e) {
     const std::uint64_t day = day_of(e.time);
     // An event scheduled before the pop cursor (possible for generic
     // callers; a DES never rewinds) moves the cursor back so the day walk
@@ -258,7 +260,22 @@ class EventQueue {
                              b.v[pos - 1].seq > e.seq))) {
       --pos;
     }
-    b.v.insert(b.v.begin() + static_cast<std::ptrdiff_t>(pos), e);
+    b.v.insert(b.v.begin() + static_cast<std::ptrdiff_t>(pos), std::move(e));
+  }
+
+  /// Where the (time, seq) minimum waits: kLane or its bucket's index.
+  /// Precondition: !empty().
+  std::size_t find_min() {
+    if (size_ == 0) return kLane;
+    const Bucket& b = find_min_bucket();
+    if (!lane_.empty()) {
+      const Event& l = lane_.front();
+      const Event& c = b.front();
+      if (l.time < c.time || (l.time == c.time && l.seq < c.seq)) {
+        return kLane;
+      }
+    }
+    return static_cast<std::size_t>(&b - buckets_.data());
   }
 
   /// Bucket holding the global (time, seq) minimum; advances the day
@@ -293,57 +310,62 @@ class EventQueue {
   }
 
   void rebucket(std::size_t new_count) {
-    std::vector<Entry> all;
-    all.reserve(size_);
     SimTime lo = 0.0, hi = 0.0;
     bool first = true;
-    for (Bucket& b : buckets_) {
+    for (const Bucket& b : buckets_) {
       for (std::size_t i = b.head; i < b.v.size(); ++i) {
-        const Entry& e = b.v[i];
-        if (first || e.time < lo) lo = e.time;
-        if (first || e.time > hi) hi = e.time;
+        const SimTime t = b.v[i].time;
+        if (first || t < lo) lo = t;
+        if (first || t > hi) hi = t;
         first = false;
-        all.push_back(e);
       }
-      b.v.clear();
-      b.head = 0;
     }
     // Re-derive the day width so the live span fits inside one year with
     // about one event per bucket. A degenerate span (all events
     // simultaneous) keeps the current width: no width can separate them —
     // and if this was a grow, a bigger calendar would only spread the
     // flood across more empty buckets and re-trigger on the very next
-    // push. Refuse the grow and defer the next attempt until the queue
-    // doubles again (geometric backoff: O(log n) redistributes total
-    // instead of one per power of two).
-    if (all.size() >= 2 && hi > lo) {
+    // push. Refuse the grow, leaving every event where it is, and defer
+    // the next attempt until the queue doubles again (geometric backoff:
+    // O(log n) scans total instead of a redistribute per power of two).
+    if (size_ >= 2 && hi > lo) {
       set_width(pow2_at_least((hi - lo) / static_cast<double>(new_count)));
       grow_guard_ = 0;
-    } else if (new_count > buckets_.size() && all.size() >= 2) {
-      new_count = buckets_.size();
+    } else if (new_count > buckets_.size() && size_ >= 2) {
       grow_guard_ = size_ * 2;
+      return;
+    }
+    std::vector<Event> all;
+    all.reserve(size_);
+    for (Bucket& b : buckets_) {
+      for (std::size_t i = b.head; i < b.v.size(); ++i) {
+        all.push_back(std::move(b.v[i]));
+      }
+      b.v.clear();
+      b.head = 0;
     }
     buckets_.resize(new_count);
-    std::sort(all.begin(), all.end(), [](const Entry& a, const Entry& b) {
+    std::sort(all.begin(), all.end(), [](const Event& a, const Event& b) {
       if (a.time != b.time) return a.time < b.time;
       return a.seq < b.seq;
     });
     // Appending in global sorted order keeps every bucket sorted.
     const std::size_t mask = buckets_.size() - 1;
-    for (const Entry& e : all) {
-      buckets_[day_of(e.time) & mask].v.push_back(e);
+    for (Event& e : all) {
+      buckets_[day_of(e.time) & mask].v.push_back(std::move(e));
     }
     cur_day_ = all.empty() ? 0 : day_of(all.front().time);
     ++resizes_;
   }
 
-  core::ObjectPool<Payload> pool_;
   std::vector<Bucket> buckets_;  // size is a power of two
-  std::size_t peeked_ = kNoPeek;  // next_time()'s bucket, until a push
+  std::size_t peeked_ = kNoPeek;  // next_time()'s find_min(), until a push
+  Bucket lane_;        // events pushed at now_ (or at the lane's time)
+  SimTime now_ = 0.0;  // time of the last pop
   SimTime width_ = 1.0;
   SimTime inv_width_ = 1.0;
   std::uint64_t cur_day_ = 0;  // day of the last pop (or earlier)
-  std::size_t size_ = 0;
+  std::size_t size_ = 0;  // events in the calendar (the lane not counted)
   /// Flood damping: after a refused degenerate grow, no further grow is
   /// attempted until size_ exceeds this. 0 = no grow pending deferral.
   std::size_t grow_guard_ = 0;

@@ -76,8 +76,23 @@ inline constexpr int kMsgTypeCount = 10;
 /// Largest d an insert may probe: candidate indices 0 .. d-1 fit below it.
 inline constexpr int kMaxChoices = 16;
 
+/// Fields are grouped by width (8-, then 4-, then 1-byte) so a Message
+/// packs into one 64-byte cache line: the simulator moves one per event.
 struct Message {
-  MsgType type = MsgType::kProbe;
+  /// Operation id: insert index or lookup index, per-kind namespaces.
+  std::uint64_t op = 0;
+  /// Ring position being routed toward (candidate or lookup key).
+  double key = 0.0;
+  /// Packed core::ObjectPool handle of the client's in-flight op record
+  /// (insert or lookup, by message kind). Replies echo it back, giving the
+  /// client O(1) generation-checked access to its op state with no map
+  /// lookup. Deterministic (pool allocation order is), not hash-folded.
+  std::uint64_t slot = 0;
+  /// Store payload: the value bytes on kPut and kGetReply, the requested
+  /// store key id on kGet. Like dest/slot it is derived data the handlers
+  /// recompute deterministically, so it is not folded into the golden
+  /// trace hash — pre-store configs keep their pinned hashes bit-exact.
+  std::uint64_t value = 0;
   /// Node currently holding the message (the event's recipient).
   std::uint32_t at = 0;
   /// Sender of the most recent link traversal. A probe reply's `from` is
@@ -86,12 +101,6 @@ struct Message {
   std::uint32_t from = 0;
   /// Operation originator (probe replies and acks return here).
   std::uint32_t client = 0;
-  /// Operation id: insert index or lookup index, per-kind namespaces.
-  std::uint64_t op = 0;
-  /// Candidate index within an insert op (0 .. d-1); unused for lookups.
-  std::uint8_t probe = 0;
-  /// Ring position being routed toward (candidate or lookup key).
-  double key = 0.0;
   /// Forwarding hops accumulated so far (routed messages).
   std::uint32_t hops = 0;
   /// Load observed by the owner at reply time (kProbeReply), echoed back
@@ -103,19 +112,13 @@ struct Message {
   /// Purely a cache — next_hop() never reads it, so routing decisions are
   /// unchanged; it is not folded into the golden trace hash.
   std::uint32_t dest = 0;
-  /// Packed core::ObjectPool handle of the client's in-flight op record
-  /// (insert or lookup, by message kind). Replies echo it back, giving the
-  /// client O(1) generation-checked access to its op state with no map
-  /// lookup. Deterministic (pool allocation order is), not hash-folded.
-  std::uint64_t slot = 0;
-  /// Store payload: the value bytes on kPut and kGetReply, the requested
-  /// store key id on kGet. Like dest/slot it is derived data the handlers
-  /// recompute deterministically, so it is not folded into the golden
-  /// trace hash — pre-store configs keep their pinned hashes bit-exact.
-  std::uint64_t value = 0;
+  MsgType type = MsgType::kProbe;
+  /// Candidate index within an insert op (0 .. d-1); unused for lookups.
+  std::uint8_t probe = 0;
 
   friend bool operator==(const Message&, const Message&) = default;
 };
+static_assert(sizeof(Message) == 64);
 
 using MessageQueue = EventQueue<Message>;
 

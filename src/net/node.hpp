@@ -66,23 +66,19 @@ class NodeLogic {
   /// ClientDriver.
   void on_message(const Message& msg) {
     switch (msg.type) {
-      case MsgType::kProbe: {
+      case MsgType::kProbe:
+      case MsgType::kLookup: {
         Message m = msg;
         if (!route(m)) return;
         trace_event(obs::TracePhase::kDelivered, m);
-        transport_->send(protocol::make_probe_reply(m, load_));
+        transport_->send(m.type == MsgType::kProbe
+                             ? protocol::make_probe_reply(m, load_)
+                             : protocol::make_lookup_reply(m));
         return;
       }
       case MsgType::kPlace:
         on_place(msg);
         return;
-      case MsgType::kLookup: {
-        Message m = msg;
-        if (!route(m)) return;
-        trace_event(obs::TracePhase::kDelivered, m);
-        transport_->send(protocol::make_lookup_reply(m));
-        return;
-      }
       case MsgType::kPut: {
         // Direct message (the client knows our address from the placement
         // phase): store and ack. Overwrite semantics make a retransmitted
@@ -144,14 +140,19 @@ class NodeLogic {
     trace_event(obs::TracePhase::kDelivered, m);
     // At-most-once: a retransmitted kPlace (its ack was lost) must not
     // count the key twice — resend the ack and change nothing.
-    // Op ids rise with issue order, so the insert is nearly an append.
+    // Op ids rise with issue order, so a new key almost always goes last.
     const std::uint64_t key = op_key(m.client, m.op);
-    const auto at = std::lower_bound(placed_.begin(), placed_.end(), key);
-    if (at != placed_.end() && *at == key) {
-      transport_->send(protocol::make_place_ack(m));
-      return;
+    if (placed_.empty() || placed_.back() < key) {
+      if (placed_.empty()) placed_.reserve(kPlacedReserve);
+      placed_.push_back(key);
+    } else {
+      const auto at = std::lower_bound(placed_.begin(), placed_.end(), key);
+      if (*at == key) {
+        transport_->send(protocol::make_place_ack(m));
+        return;
+      }
+      placed_.insert(at, key);
     }
-    placed_.insert(at, key);
     if (load_ != m.load) ++stale_;
     ++load_;
     transport_->send(protocol::make_place_ack(m));
@@ -170,7 +171,10 @@ class NodeLogic {
   obs::TraceRecorder* trace_ = nullptr;
   std::uint32_t load_ = 0;
   std::uint64_t stale_ = 0;
-  /// op_key of every placement applied here, ascending.
+  /// op_key of every placement applied here, ascending; the first
+  /// reserves room for kPlacedReserve (grown from one, 16 keys cost five
+  /// allocations).
+  static constexpr std::size_t kPlacedReserve = 16;
   std::vector<std::uint64_t> placed_;
   /// Built by the first kPut, at the minimum capacity: a simulation builds
   /// thousands of nodes, most of which never store a value.
@@ -349,36 +353,20 @@ class ClientDriver {
       case MsgType::kLookup: {
         LookupOp* op = lookup_ops_.try_get(LookupPool::Handle::unpack(t.slot));
         if (op == nullptr || op->op != t.op) return;
-        ++report_.data_retransmits;
-        const Message resend = protocol::make_lookup(
-            self(), op->op, op->key, ring_->successor(op->key), t.slot);
-        trace_event(obs::TracePhase::kRetransmit, resend);
-        transport_->send(resend);
+        resend(lookup_message(*op, t.slot));
         op->timer = transport_->schedule(cfg_.retransmit_ms, t);
         return;
       }
-      case MsgType::kPut: {
-        StoreOp* op = store_ops_.try_get(StorePool::Handle::unpack(t.slot));
-        if (op == nullptr || op->is_get || op->op != t.op) return;
-        ++report_.data_retransmits;
+      case MsgType::kPut:
+      case MsgType::kGet: {
         // Resending the identical put is safe: the owner overwrites with
         // the same bytes.
-        const Message resend = protocol::make_put(
-            self(), owner_of(op->key_id), op->key_id,
-            protocol::store_value(op->key_id), t.slot);
-        trace_event(obs::TracePhase::kRetransmit, resend);
-        transport_->send(resend);
-        op->timer = transport_->schedule(cfg_.retransmit_ms, t);
-        return;
-      }
-      case MsgType::kGet: {
         StoreOp* op = store_ops_.try_get(StorePool::Handle::unpack(t.slot));
-        if (op == nullptr || !op->is_get || op->op != t.op) return;
-        ++report_.data_retransmits;
-        const Message resend = protocol::make_get(
-            self(), op->op, owner_of(op->key_id), op->key_id, t.slot);
-        trace_event(obs::TracePhase::kRetransmit, resend);
-        transport_->send(resend);
+        if (op == nullptr || op->is_get != (t.type == MsgType::kGet) ||
+            op->op != t.op) {
+          return;
+        }
+        resend(store_message(*op, t.slot));
         op->timer = transport_->schedule(cfg_.retransmit_ms, t);
         return;
       }
@@ -387,7 +375,7 @@ class ClientDriver {
             census_next_ > census_got_) {
           ++report_.census_retries;
           send_census(census_got_);
-          arm_census_timer();
+          census_timer_ = arm(MsgType::kProbeReply, 0, 0);
         }
         return;
       default:
@@ -465,8 +453,43 @@ class ClientDriver {
     // flight at a time keeps this trivially at-most-once.
     if (census_next_ == census_got_ && census_next_ < ring_->node_count()) {
       send_census(census_next_++);
-      arm_census_timer();
+      census_timer_ = arm(MsgType::kProbeReply, 0, 0);
     }
+  }
+
+  /// Arm op `op`'s retransmit alarm; on_timer reads `type` for its kind.
+  typename Transport::Timer arm(MsgType type, std::uint64_t op,
+                                std::uint64_t slot) {
+    Message alarm;
+    alarm.type = type;
+    alarm.op = op;
+    alarm.slot = slot;
+    return transport_->schedule(cfg_.retransmit_ms, alarm);
+  }
+
+  /// Resend what an op is waiting for, after its alarm fired.
+  void resend(const Message& m) {
+    ++report_.data_retransmits;
+    trace_event(obs::TracePhase::kRetransmit, m);
+    transport_->send(m);
+  }
+
+  [[nodiscard]] Message lookup_message(const LookupOp& op,
+                                       std::uint64_t slot) const {
+    return protocol::make_lookup(self(), op.op, op.key,
+                                 ring_->successor(op.key), slot);
+  }
+
+  /// A put carries the key's value, a get asks for it; both go straight
+  /// to the owner the placement phase recorded.
+  [[nodiscard]] Message store_message(const StoreOp& op,
+                                      std::uint64_t slot) const {
+    if (op.is_get) {
+      return protocol::make_get(self(), op.op, owner_of(op.key_id), op.key_id,
+                                slot);
+    }
+    return protocol::make_put(self(), owner_of(op.key_id), op.key_id,
+                              protocol::store_value(op.key_id), slot);
   }
 
   void issue_insert() {
@@ -489,11 +512,7 @@ class ClientDriver {
       trace_event(obs::TracePhase::kScheduled, m);
       transport_->send(m);
     }
-    Message alarm;
-    alarm.type = MsgType::kProbe;
-    alarm.op = op_id;
-    alarm.slot = slot;
-    live.timer = transport_->schedule(cfg_.retransmit_ms, alarm);
+    live.timer = arm(MsgType::kProbe, op_id, slot);
   }
 
   void issue_lookup() {
@@ -504,16 +523,10 @@ class ClientDriver {
     rec.key = rng::uniform01(candidates_);
     const auto handle = lookup_ops_.emplace(rec);
     const std::uint64_t slot = handle.pack();
-    const Message m = protocol::make_lookup(self(), op_id, rec.key,
-                                            ring_->successor(rec.key), slot);
+    const Message m = lookup_message(rec, slot);
     trace_event(obs::TracePhase::kScheduled, m);
     transport_->send(m);
-    Message alarm;
-    alarm.type = MsgType::kLookup;
-    alarm.op = op_id;
-    alarm.slot = slot;
-    lookup_ops_.get(handle).timer = transport_->schedule(cfg_.retransmit_ms,
-                                                         alarm);
+    lookup_ops_.get(handle).timer = arm(MsgType::kLookup, op_id, slot);
   }
 
   /// The node the placement phase recorded for `key_id` — the address
@@ -530,17 +543,10 @@ class ClientDriver {
     rec.key_id = key_id;
     const auto handle = store_ops_.emplace(rec);
     const std::uint64_t slot = handle.pack();
-    const Message m =
-        protocol::make_put(self(), owner_of(key_id), key_id,
-                           protocol::store_value(key_id), slot);
+    const Message m = store_message(rec, slot);
     trace_event(obs::TracePhase::kScheduled, m);
     transport_->send(m);
-    Message alarm;
-    alarm.type = MsgType::kPut;
-    alarm.op = key_id;
-    alarm.slot = slot;
-    store_ops_.get(handle).timer =
-        transport_->schedule(cfg_.retransmit_ms, alarm);
+    store_ops_.get(handle).timer = arm(MsgType::kPut, key_id, slot);
   }
 
   void issue_get() {
@@ -554,16 +560,10 @@ class ClientDriver {
     rec.is_get = true;
     const auto handle = store_ops_.emplace(rec);
     const std::uint64_t slot = handle.pack();
-    const Message m = protocol::make_get(self(), op_id, owner_of(rec.key_id),
-                                         rec.key_id, slot);
+    const Message m = store_message(rec, slot);
     trace_event(obs::TracePhase::kScheduled, m);
     transport_->send(m);
-    Message alarm;
-    alarm.type = MsgType::kGet;
-    alarm.op = op_id;
-    alarm.slot = slot;
-    store_ops_.get(handle).timer =
-        transport_->schedule(cfg_.retransmit_ms, alarm);
+    store_ops_.get(handle).timer = arm(MsgType::kGet, op_id, slot);
   }
 
   void resend_insert(const InsertOp& op, std::uint64_t slot) {
@@ -620,7 +620,7 @@ class ClientDriver {
     if (op == nullptr || op->op != m.op) return;  // duplicate ack
     if (op->phase != Phase::kPlacing) return;     // ack without a place?
     trace_event(obs::TracePhase::kDelivered, m);
-    if (transport_->armed(op->timer)) transport_->cancel(op->timer);
+    transport_->cancel(op->timer);  // armed while the op lives
     const double us = static_cast<double>(transport_->now_us() - op->start_us);
     report_.insert_latency_us.add(us);
     report_.insert_latency_us_q.add(us);
@@ -634,7 +634,7 @@ class ClientDriver {
     LookupOp* op = lookup_ops_.try_get(h);
     if (op == nullptr || op->op != m.op) return;  // duplicate reply
     trace_event(obs::TracePhase::kDelivered, m);
-    if (transport_->armed(op->timer)) transport_->cancel(op->timer);
+    transport_->cancel(op->timer);  // armed while the op lives
     const double us = static_cast<double>(transport_->now_us() - op->start_us);
     report_.lookup_latency_us.add(us);
     report_.lookup_latency_us_q.add(us);
@@ -651,7 +651,7 @@ class ClientDriver {
     StoreOp* op = store_ops_.try_get(h);
     if (op == nullptr || op->is_get || op->op != m.op) return;  // duplicate
     trace_event(obs::TracePhase::kDelivered, m);
-    if (transport_->armed(op->timer)) transport_->cancel(op->timer);
+    transport_->cancel(op->timer);  // armed while the op lives
     store_ops_.release(h);
     ++report_.puts;
     advance();
@@ -662,7 +662,7 @@ class ClientDriver {
     StoreOp* op = store_ops_.try_get(h);
     if (op == nullptr || !op->is_get || op->op != m.op) return;  // duplicate
     trace_event(obs::TracePhase::kDelivered, m);
-    if (transport_->armed(op->timer)) transport_->cancel(op->timer);
+    transport_->cancel(op->timer);  // armed while the op lives
     if (m.probe == 0) {
       ++report_.get_misses;
     } else if (m.value != protocol::store_value(op->key_id)) {
@@ -686,19 +686,10 @@ class ClientDriver {
                                           ring_->node_id(node), node, 0));
   }
 
-  void arm_census_timer() {
-    Message alarm;
-    alarm.type = MsgType::kProbeReply;
-    census_timer_ = transport_->schedule(cfg_.retransmit_ms, alarm);
-    census_timer_armed_ = true;
-  }
-
   void on_census_reply(const Message& m) {
-    if (m.op != census_got_) return;  // duplicate or out-of-order census
-    if (census_timer_armed_ && transport_->armed(census_timer_)) {
-      transport_->cancel(census_timer_);
-    }
-    census_timer_armed_ = false;
+    // Not the probe in flight: a duplicate, or out of order.
+    if (m.op != census_got_ || census_next_ == census_got_) return;
+    transport_->cancel(census_timer_);  // armed while a probe is in flight
     report_.loads.push_back(m.load);
     if (m.load > report_.max_load) report_.max_load = m.load;
     ++census_got_;
@@ -722,7 +713,6 @@ class ClientDriver {
   std::uint32_t census_next_ = 0;
   std::uint32_t census_got_ = 0;
   typename Transport::Timer census_timer_{};
-  bool census_timer_armed_ = false;
   DriverReport report_;
 };
 

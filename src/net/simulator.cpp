@@ -145,6 +145,12 @@ NetMetrics NetSimulator::finish() {
   NetMetrics& out = metrics_;
   out.links = net_.links().total;
   out.links_by_type = net_.links().by_type;
+  if (done_) {
+    // The census probe the client sent as the workload drained was never
+    // delivered: it is no link of the workload.
+    --out.links;
+    --out.links_by_type[static_cast<std::size_t>(MsgType::kProbe)];
+  }
   out.probe_hops = r.probe_hops;
   out.inserts = r.inserts;
   out.lookups = r.lookups;

@@ -21,8 +21,8 @@
 // placed once. No op completing for kStallUs throws.
 //
 // A run ends when ClientDriver::workload_done() holds. The census the
-// client starts then is never delivered (its first probe counts in
-// `links`); the loads are read from each NodeLogic::load().
+// client starts then is never delivered, and its first probe is left out
+// of `links`; the loads are read from each NodeLogic::load().
 //
 // Determinism. Time ties break by schedule order, a trial runs on one
 // thread, and every draw comes from a (seed, trial, purpose) substream:
@@ -99,7 +99,9 @@ struct NetConfig {
 /// Aggregate results of one simulation run.
 struct NetMetrics {
   std::uint64_t events = 0;  // executed events (= delivered messages)
-  /// Protocol sends, self-addressed ones included (the wire cost).
+  /// Protocol sends, self-addressed ones included (the wire cost). The
+  /// census probe sent as the workload drains is never delivered and not
+  /// counted, so a drained run has links == events.
   std::uint64_t links = 0;
   std::array<std::uint64_t, kMsgTypeCount> links_by_type{};
   /// Total forwarding hops spent routing insert probes — the wire price of

@@ -25,16 +25,13 @@
 // overwrites the oldest records when full and counts what it dropped.
 //
 // With GEOCHOICE_OBS=OFF, record() is an inline no-op (call sites fold
-// away) and the exporter returns an empty-but-valid trace;
-// obs::compiled_in() (registry.hpp) tells the two apart.
+// away) and the exporter returns an empty-but-valid trace.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "obs/registry.hpp"
 
 namespace geochoice::obs {
 

@@ -25,24 +25,9 @@ NetScenarioConfig net_scenario_config(const Scenario& sc) {
 }
 
 NetScenarioResult net_scenario_result(const RunReport& report) {
-  const WireMetrics& w = report.wire;
   NetScenarioResult r;
+  static_cast<WireSummary&>(r) = report.wire;
   r.max_load = report.max_load;
-  r.mean_lookup_hops = w.mean_lookup_hops;
-  r.lookup_hops_p50 = w.lookup_hops_p50;
-  r.lookup_hops_p90 = w.lookup_hops_p90;
-  r.lookup_hops_p99 = w.lookup_hops_p99;
-  r.insert_latency_p50 = w.insert_latency_p50;
-  r.insert_latency_p90 = w.insert_latency_p90;
-  r.insert_latency_p99 = w.insert_latency_p99;
-  r.lookup_latency_p50 = w.lookup_latency_p50;
-  r.lookup_latency_p90 = w.lookup_latency_p90;
-  r.lookup_latency_p99 = w.lookup_latency_p99;
-  r.links_per_insert = w.links_per_insert;
-  r.probe_hops_per_insert = w.probe_hops_per_insert;
-  r.stale_fraction = w.stale_fraction;
-  r.mean_events = w.mean_events;
-  r.mean_end_time = w.mean_end_time;
   return r;
 }
 

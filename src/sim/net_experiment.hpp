@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "net/simulator.hpp"
+#include "sim/scenario.hpp"
 #include "stats/histogram.hpp"
 
 namespace geochoice::sim {
@@ -29,36 +30,14 @@ struct NetScenarioConfig {
   obs::TraceRecorder* trace = nullptr;
 };
 
-struct NetScenarioResult {
+struct NetScenarioResult : WireSummary {
   /// Distribution of the max keys-per-node over trials (the paper's
   /// headline statistic, now measured over the wire).
   stats::IntHistogram max_load;
-  double mean_lookup_hops = 0.0;
-  double lookup_hops_p50 = 0.0;
-  double lookup_hops_p90 = 0.0;
-  double lookup_hops_p99 = 0.0;
-  double insert_latency_p50 = 0.0;
-  double insert_latency_p90 = 0.0;
-  double insert_latency_p99 = 0.0;
-  double lookup_latency_p50 = 0.0;
-  double lookup_latency_p90 = 0.0;
-  double lookup_latency_p99 = 0.0;
-  /// Wire cost: mean protocol sends of the insert kinds (probe, probe
-  /// reply, place, ack; self-addressed ones included, so the client's d
-  /// probes to itself count) and probe-routing hops per insert.
-  double links_per_insert = 0.0;
-  double probe_hops_per_insert = 0.0;
-  /// Fraction of placements that acted on a stale load reply.
-  double stale_fraction = 0.0;
-  double mean_events = 0.0;
-  double mean_end_time = 0.0;
 };
 
 /// Run the scenario's trials in parallel (deterministic in the seed).
 [[nodiscard]] NetScenarioResult run_net_scenario(const NetScenarioConfig& cfg);
-
-struct Scenario;
-struct RunReport;
 
 /// Bridge from the unified front door (scenario.hpp): the NetScenarioConfig
 /// a wire-model Scenario denotes — n/m/d/tie plus the net knobs (latency,

@@ -533,22 +533,7 @@ RunReport run_wire(const Scenario& sc) {
     const double total =
         std::chrono::duration<double>(Clock::now() - t0).count();
     report.max_load = r.max_load;
-    WireMetrics& w = report.wire;
-    w.mean_lookup_hops = r.mean_lookup_hops;
-    w.lookup_hops_p50 = r.lookup_hops_p50;
-    w.lookup_hops_p90 = r.lookup_hops_p90;
-    w.lookup_hops_p99 = r.lookup_hops_p99;
-    w.insert_latency_p50 = r.insert_latency_p50;
-    w.insert_latency_p90 = r.insert_latency_p90;
-    w.insert_latency_p99 = r.insert_latency_p99;
-    w.lookup_latency_p50 = r.lookup_latency_p50;
-    w.lookup_latency_p90 = r.lookup_latency_p90;
-    w.lookup_latency_p99 = r.lookup_latency_p99;
-    w.links_per_insert = r.links_per_insert;
-    w.probe_hops_per_insert = r.probe_hops_per_insert;
-    w.stale_fraction = r.stale_fraction;
-    w.mean_events = r.mean_events;
-    w.mean_end_time = r.mean_end_time;
+    static_cast<WireSummary&>(report.wire) = r;
     // run_net_scenario runs trials in parallel, so per-trial wall times
     // are not separable; report the mean as the whole range.
     report.total_seconds = total;

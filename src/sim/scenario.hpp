@@ -165,13 +165,13 @@ struct Scenario {
 };
 
 /// Per-message metrics a wire-model run reports next to the max-load
-/// distribution. Latency/hop percentiles are per-trial P² estimates
-/// averaged over trials (run_net_scenario's aggregation). Units differ by
-/// transport: kSim latencies are simulated microseconds, kUdp latencies
-/// are real ones. The hop/event fields are kSim-only (the real cluster does
-/// not trace per-message routing); the datagram counters are kUdp-only.
-struct WireMetrics {
-  bool present = false;  // true iff the report came from ExecModel::kWire
+/// distribution, in RunReport::wire and in run_net_scenario's result.
+/// Latency/hop percentiles are per-trial P² estimates averaged over trials
+/// (run_net_scenario's aggregation). Units differ by transport: kSim
+/// latencies are simulated microseconds, kUdp latencies are real ones.
+/// The hop/event fields are kSim-only (the real cluster does not trace
+/// per-message routing).
+struct WireSummary {
   double mean_lookup_hops = 0.0;
   double lookup_hops_p50 = 0.0;
   double lookup_hops_p90 = 0.0;
@@ -191,6 +191,11 @@ struct WireMetrics {
   double stale_fraction = 0.0;
   double mean_events = 0.0;
   double mean_end_time = 0.0;
+};
+
+/// A wire-model run's WireSummary, plus the kUdp-only datagram counters.
+struct WireMetrics : WireSummary {
+  bool present = false;  // true iff the report came from ExecModel::kWire
   // kUdp only: totals across all trials. retransmits is the total;
   // data_retransmits (suspected loss on the workload path) and
   // census_retries (read-only census re-probes) split it.

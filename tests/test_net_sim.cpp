@@ -545,7 +545,7 @@ TEST(NetSim, OneNodeRingRunsOnSelfSendsAlone) {
   EXPECT_EQ(m.insert_latency.max(), 0.0);
   EXPECT_EQ(m.lookup_latency.max(), 0.0);
   EXPECT_EQ(m.loads, std::vector<std::uint32_t>{8});
-  EXPECT_EQ(m.links, m.events + 1);  // + the census probe, never delivered
+  EXPECT_EQ(m.links, m.events);  // every self-send counted and delivered
 }
 
 TEST(NetSim, LatenciesKeepSimTimePrecision) {
@@ -688,13 +688,14 @@ TEST(NetSim, CancelledAlarmsLeaveTheScheduleUntouched) {
 TEST(NetSim, RunEndsWhenTheWorkloadDrains) {
   // The last answer ends the run: every message sent before it was
   // delivered, and the census probe the client sends at that moment is
-  // not. The loads come from the nodes.
+  // neither delivered nor counted as a link. The loads come from the
+  // nodes.
   auto cfg = mixed_config();
   cfg.collect_trace = true;
   const auto ring = gn::NetSimulator::make_ring(cfg);
   gn::NetSimulator sim(ring, cfg);
   const auto m = sim.run();
-  EXPECT_EQ(m.links, m.events + 1);
+  EXPECT_EQ(m.links, m.events);
   for (const auto& e : sim.trace()) {
     EXPECT_FALSE(e.msg.type == gn::MsgType::kProbe &&
                  e.msg.probe == gn::protocol::kCensusProbe);

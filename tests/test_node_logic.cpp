@@ -21,6 +21,7 @@
 #include "core/tie_breaking.hpp"
 #include "dht/chord.hpp"
 #include "net/node.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "rng/streams.hpp"
 

@@ -22,6 +22,7 @@
 
 #include "net/cluster.hpp"
 #include "net/simulator.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace {
