@@ -9,7 +9,9 @@
 // wire-model sim::Scenario (model=wire, space=chord) and calls sim::run.
 // The same experiment is reachable from any scenario-aware binary via
 // --model=wire; net_sim only keeps the historical defaults, the --keys
-// alias for --m, the net-flavored report/CSV, and the sweep grid.
+// alias for --m, and the sweep grid. It prints render_run_summary and
+// writes the scenario CSV (scenario_csv_*), whose wire columns follow
+// scenario_json's wire block.
 //
 // Flags (defaults in brackets):
 //   --n=1024          ring nodes
@@ -26,7 +28,7 @@
 //                     sequential NetSimulator run
 //   --transport=sim   sim | udp (udp runs every trial on a real loopback
 //                     UDP cluster; the latency flags do not apply)
-//   --csv=PATH        also append one metrics row per run to PATH
+//   --csv=PATH        also write the run's scenario CSV row to PATH
 //
 // Sweep mode (the ROADMAP stale-information study, self-contained):
 //   --sweep                 run the window x latency-model grid instead of
@@ -46,7 +48,6 @@
 
 #include "sim/cli.hpp"
 #include "sim/csv.hpp"
-#include "sim/net_experiment.hpp"
 #include "sim/scenario.hpp"
 
 namespace gn = geochoice::net;
@@ -61,9 +62,9 @@ int run_sweep(gm::Scenario sc, std::uint64_t max_window,
       gn::LatencyModel::uniform(0.5, 1.5),
       gn::LatencyModel::lognormal(0.0, 1.0),
   };
-  gm::CsvWriter csv(csv_path, gm::net_csv_header());
+  gm::CsvWriter csv(csv_path, gm::scenario_csv_header(sc));
   std::printf("%-10s %8s %14s %14s %14s\n", "latency", "window",
-              "max_load_mean", "stale_frac", "insert_p99");
+              "mean_max_load", "stale_frac", "insert_p99");
   for (const auto& model : models) {
     // 64-bit loop variable: doubling cannot wrap below any representable
     // --sweep-max-window, so the loop always terminates.
@@ -71,11 +72,11 @@ int run_sweep(gm::Scenario sc, std::uint64_t max_window,
       sc.latency = model;
       sc.window = static_cast<std::uint32_t>(w);
       const auto report = gm::run(sc);
-      const auto r = gm::net_scenario_result(report);
-      csv.row(gm::net_csv_row(gm::net_scenario_config(sc), r));
+      csv.row(gm::scenario_csv_row(report));
       std::printf("%-10s %8u %14.3f %14.4f %14.2f\n",
                   std::string(gn::to_string(model.kind)).c_str(), sc.window,
-                  r.max_load.mean(), r.stale_fraction, r.insert_latency_p99);
+                  report.mean_max_load(), report.wire.stale_fraction,
+                  report.wire.insert_latency_p99);
       std::fflush(stdout);
     }
   }
@@ -138,14 +139,11 @@ int main(int argc, char** argv) {
     if (sweep) return run_sweep(sc, max_window, csv_path);
 
     const auto report = gm::run(sc);
-    const auto result = gm::net_scenario_result(report);
-    std::fputs(
-        gm::render_net_summary(gm::net_scenario_config(sc), result).c_str(),
-        stdout);
+    std::fputs(gm::render_run_summary(report).c_str(), stdout);
 
     if (!csv_path.empty()) {
-      gm::CsvWriter csv(csv_path, gm::net_csv_header());
-      csv.row(gm::net_csv_row(gm::net_scenario_config(sc), result));
+      gm::CsvWriter csv(csv_path, gm::scenario_csv_header(report.spec));
+      csv.row(gm::scenario_csv_row(report));
     }
   } catch (const std::invalid_argument& e) {
     // A spec sim::run rejects (say a non-finite latency) is a usage error.

@@ -61,16 +61,17 @@ int main(int argc, char** argv) {
     gm::TableRowBlock row;
     row.label = gm::pow2_label(n);
     for (const auto& v : variants) {
-      gm::ExperimentConfig cfg;
-      cfg.space = gm::SpaceKind::kRing;
-      cfg.num_servers = n;
-      cfg.num_choices = d;
-      cfg.tie = v.tie;
-      cfg.scheme = v.scheme;
-      cfg.trials = trials;
-      cfg.seed = seed;
-      cfg.threads = threads;
-      auto hist = gm::run_max_load_experiment(cfg);
+      gm::Scenario sc;
+      sc.space = gm::SpaceKind::kRing;
+      sc.engine = gm::Engine::kScalar;
+      sc.num_servers = n;
+      sc.num_choices = d;
+      sc.tie = v.tie;
+      sc.scheme = v.scheme;
+      sc.trials = trials;
+      sc.seed = seed;
+      sc.threads = threads;
+      auto hist = gm::run(sc).max_load;
       if (csv) {
         for (const auto& [value, count] : hist.items()) {
           csv->row({std::to_string(n), v.name, std::to_string(value),

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Render the `net_sim --sweep` stale-information grid CSV to a PNG.
 
-The sweep (ROADMAP stale-information study) emits one row per
-(latency model, insert window) cell with the wire-level two-choice
-metrics; this script draws the phase-change chart: mean max load and
+The sweep (ROADMAP stale-information study) emits one scenario CSV row
+(sim::scenario_csv_row, wire columns included) per (latency model,
+insert window) cell; this script draws the phase-change chart: mean max load and
 stale-read fraction against the insert window, one line per latency
 model. Headless (matplotlib Agg backend) so it runs as a CI step and
 uploads the PNG as an artifact.
@@ -23,7 +23,7 @@ import sys
 def load_rows(path):
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
-    required = {"latency", "window", "max_load_mean", "stale_fraction"}
+    required = {"latency", "window", "mean_max_load", "stale_fraction"}
     if not rows:
         raise SystemExit(f"FAIL: no data rows in {path}")
     missing = required - set(rows[0])
@@ -55,7 +55,7 @@ def main(argv):
     by_model = {}
     for r in rows:
         by_model.setdefault(r["latency"], []).append(
-            (int(r["window"]), float(r["max_load_mean"]),
+            (int(r["window"]), float(r["mean_max_load"]),
              float(r["stale_fraction"])))
     for series in by_model.values():
         series.sort()

@@ -72,7 +72,10 @@ ClusterResult run_loopback_cluster(const ClusterConfig& cfg) {
   ClusterResult result;
   result.report = driver.report();
   for (const auto& t : transports) {
-    result.datagrams += t->links().total;
+    result.links.total += t->links().total;
+    for (std::size_t k = 0; k < result.links.by_type.size(); ++k) {
+      result.links.by_type[k] += t->links().by_type[k];
+    }
     result.malformed += t->malformed();
     result.send_calls += t->send_calls();
     result.self_delivered += t->self_delivered();
@@ -83,7 +86,7 @@ ClusterResult run_loopback_cluster(const ClusterConfig& cfg) {
     result.stale_reads += n.stale_reads();
     result.keys_stored += n.keys_stored();
   }
-  result.elapsed_ms = clock.now_ms();
+  result.elapsed_us = clock.now_us();
   return result;
 }
 

@@ -13,12 +13,16 @@
 //
 // The multi-process version of the same ring is the dht_node binary
 // (src/service/dht_node.cpp); this harness exists so tests and
-// sim::Scenario runs can stand a cluster up without forking.
+// sim::Scenario runs can stand a cluster up without forking. A udp
+// Scenario trial is one call, and its report is read from the same
+// surfaces a simulated trial's is: the client's DriverReport, the nodes'
+// stale reads and the transports' per-type link counters.
 #pragma once
 
 #include <cstdint>
 
 #include "net/node.hpp"
+#include "net/transport.hpp"
 
 namespace geochoice::net {
 
@@ -34,13 +38,14 @@ struct ClusterConfig {
 
 struct ClusterResult {
   DriverReport report;
-  /// Protocol sends across all nodes' transports (links().total), the
-  /// self-addressed ones that skip the socket included.
-  std::uint64_t datagrams = 0;
+  /// Protocol sends by message type, summed over all nodes' transports,
+  /// the self-addressed ones that skip the socket included. Unlike the
+  /// simulator's, these include the closing load census.
+  LinkCounters links;
   /// Received frames that failed wire::decode (should be zero).
   std::uint64_t malformed = 0;
   /// sendmsg calls across all transports; fewer than the frames written
-  /// (datagrams - self_delivered) when the outboxes batched.
+  /// (links.total - self_delivered) when the outboxes batched.
   std::uint64_t send_calls = 0;
   /// Sends a transport delivered to its own node without the socket.
   std::uint64_t self_delivered = 0;
@@ -54,8 +59,8 @@ struct ClusterResult {
   /// Distinct keys holding a value across all node stores after the run
   /// (== inserts when the store phase ran, 0 otherwise).
   std::uint64_t keys_stored = 0;
-  /// Wall-clock of the whole run.
-  std::uint64_t elapsed_ms = 0;
+  /// Wall-clock of the whole run, census included, in µs.
+  std::uint64_t elapsed_us = 0;
 };
 
 /// Stand up the cluster, run the driver's workload to completion, tear

@@ -14,11 +14,11 @@
 #include "net/chord_space.hpp"
 #include "net/cluster.hpp"
 #include "net/message.hpp"
+#include "net/simulator.hpp"
 #include "obs/obs.hpp"
 #include "parallel/trial_runner.hpp"
 #include "rng/streams.hpp"
 #include "sim/cli.hpp"
-#include "sim/net_experiment.hpp"
 #include "sim/table_format.hpp"
 #include "spaces/ring_space.hpp"
 #include "spaces/torus_nd_space.hpp"
@@ -213,8 +213,8 @@ std::uint32_t drive_engine(const S& space, Engine engine,
 
 /// Execute all trials for one concrete space type. `make_space(trial,
 /// servers_engine)` builds the trial's space (or box) from its
-/// kServerPlacement substream — the same derivation run_max_load_experiment
-/// has always used, which keeps the shim bit-compatible.
+/// kServerPlacement substream — the derivation every pinned golden
+/// histogram was produced with.
 template <typename MakeSpace>
 std::vector<TrialOutcome> run_trials_with(const Scenario& sc, Engine engine,
                                           MakeSpace&& make_space) {
@@ -327,14 +327,40 @@ std::vector<TrialOutcome> run_space(const Scenario& sc, Engine engine,
   throw std::logic_error("run: unreachable space kind");
 }
 
-/// All throws the worker threads could otherwise hit, surfaced on the
-/// calling thread with scenario-level messages (the pool does not
-/// propagate exceptions).
+/// Every check a spec must pass, on the calling thread with scenario-level
+/// messages, before any trial starts (a throw inside a trial would reach
+/// the caller only as whichever trial's exception ThreadPool::wait
+/// rethrows first). Wire runs route on the Chord ring and draw independent
+/// candidates; the simulated transport needs a valid latency model (the
+/// real one pays the kernel's).
 void validate(const Scenario& sc, Engine engine) {
   if (sc.trials == 0) throw std::invalid_argument("run: zero trials");
   if (sc.num_servers == 0) throw std::invalid_argument("run: zero servers");
   if (sc.num_choices < 1) {
     throw std::invalid_argument("run: need at least one choice");
+  }
+  for (const double q : sc.quantiles) {
+    if (!(q > 0.0 && q < 1.0)) {
+      throw std::invalid_argument("run: quantiles must lie in (0, 1)");
+    }
+  }
+  if (sc.model == ExecModel::kWire) {
+    if (sc.space != SpaceKind::kChordNet) {
+      throw std::invalid_argument(
+          "run: the wire model routes on the Chord ring; use --space=chord");
+    }
+    if (sc.scheme != core::ChoiceScheme::kIndependent) {
+      throw std::invalid_argument(
+          "run: the wire protocol draws independent candidates; partitioned "
+          "sampling is structural-only");
+    }
+    if (core::needs_region_measure(sc.tie)) {
+      throw std::invalid_argument(
+          "run: region-measure tie-breaks would need arc sizes on the wire");
+    }
+    if (sc.window < 1) throw std::invalid_argument("run: window must be >= 1");
+    if (sc.transport == WireTransport::kSim) sc.latency.validate();
+    return;
   }
   if (!engine_supports(engine, sc.space)) {
     throw std::invalid_argument(
@@ -351,123 +377,128 @@ void validate(const Scenario& sc, Engine engine) {
       (sc.torus_dims < 1 || sc.torus_dims > 4)) {
     throw std::invalid_argument("run: torus_dims must be in [1, 4]");
   }
-  for (const double q : sc.quantiles) {
-    if (!(q > 0.0 && q < 1.0)) {
-      throw std::invalid_argument("run: quantiles must lie in (0, 1)");
-    }
-  }
 }
 
-/// Wire-model validation: the protocol routes on the Chord ring and draws
-/// independent candidates; the simulated transport needs a valid latency
-/// model (the real one pays the kernel's).
-void validate_wire(const Scenario& sc) {
-  if (sc.trials == 0) throw std::invalid_argument("run: zero trials");
-  if (sc.num_servers == 0) throw std::invalid_argument("run: zero servers");
-  if (sc.num_choices < 1) {
-    throw std::invalid_argument("run: need at least one choice");
-  }
-  if (sc.space != SpaceKind::kChordNet) {
-    throw std::invalid_argument(
-        "run: the wire model routes on the Chord ring; use --space=chord");
-  }
-  if (sc.scheme != core::ChoiceScheme::kIndependent) {
-    throw std::invalid_argument(
-        "run: the wire protocol draws independent candidates; partitioned "
-        "sampling is structural-only");
-  }
-  if (core::needs_region_measure(sc.tie)) {
-    throw std::invalid_argument(
-        "run: region-measure tie-breaks would need arc sizes on the wire");
-  }
-  if (sc.window < 1) throw std::invalid_argument("run: window must be >= 1");
-  for (const double q : sc.quantiles) {
-    if (!(q > 0.0 && q < 1.0)) {
-      throw std::invalid_argument("run: quantiles must lie in (0, 1)");
-    }
-  }
-  if (sc.transport == WireTransport::kSim) sc.latency.validate();
+/// The report's resolved spec: engine concrete, m/threads explicit.
+RunReport resolved_report(const Scenario& sc, Engine engine) {
+  RunReport report;
+  report.spec = sc;
+  report.spec.engine = engine;
+  report.spec.num_balls = sc.balls();
+  report.spec.threads = resolve_threads(sc.threads);
+  return report;
 }
 
-/// kUdp trials: each stands up a fresh loopback cluster. Sequential on
-/// purpose — the trials share the kernel's loopback path and the wall
-/// clock, so parallel trials would contend, not speed up. Per-trial P²
-/// percentile estimates are averaged, mirroring run_net_scenario. Only
-/// trial 0 records into `trace` (matching run_net_scenario's convention,
-/// so sim- and udp-transport traces cover the same slice).
-void run_udp_trials(const Scenario& sc, RunReport& report,
-                    obs::TraceRecorder* trace) {
-  WireMetrics& w = report.wire;
-  double ins_p50 = 0.0, ins_p90 = 0.0, ins_p99 = 0.0;
-  double look_p50 = 0.0, look_p90 = 0.0, look_p99 = 0.0;
-  std::uint64_t ins_trials = 0, look_trials = 0;
-  std::uint64_t inserts = 0, stale = 0;
-  double sum_elapsed = 0.0;
+/// What every run reports the same way, from its trials in trial order:
+/// the max-load histogram and its exact quantiles (every per-trial max
+/// load is retained, so there is nothing to stream-estimate), the trial
+/// timing, and throughput over the summed trial seconds.
+template <typename Trial>
+void finish_report(const std::vector<Trial>& trials, RunReport& report) {
   double min_s = 0.0, max_s = 0.0, sum_s = 0.0;
-  for (std::uint64_t t = 0; t < sc.trials; ++t) {
-    net::ClusterConfig cc;
-    cc.nodes = static_cast<std::size_t>(sc.num_servers);
-    cc.driver.inserts = sc.balls();
-    cc.driver.lookups = sc.lookups;
-    cc.driver.choices = sc.num_choices;
-    cc.driver.window = sc.window;
-    cc.driver.tie = sc.tie;
-    cc.driver.seed = sc.seed;
-    cc.driver.trial = t;
-    cc.driver.trace = t == 0 ? trace : nullptr;
-    const auto t0 = Clock::now();
-    const net::ClusterResult res = net::run_loopback_cluster(cc);
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    sum_s += secs;
-    if (t == 0 || secs < min_s) min_s = secs;
-    if (t == 0 || secs > max_s) max_s = secs;
-
-    report.max_load.add(res.report.max_load);
-    w.datagrams += res.datagrams;
-    w.malformed += res.malformed;
-    w.data_retransmits += res.report.data_retransmits;
-    w.census_retries += res.report.census_retries;
-    w.retransmits += res.report.total_retransmits();
-    stale += res.stale_reads;
-    inserts += res.report.inserts;
-    sum_elapsed += static_cast<double>(res.elapsed_ms) / 1000.0;
-    if (res.report.insert_latency_us_q.count() > 0) {
-      ins_p50 += res.report.insert_latency_us_q.value(0);
-      ins_p90 += res.report.insert_latency_us_q.value(1);
-      ins_p99 += res.report.insert_latency_us_q.value(2);
-      ++ins_trials;
-    }
-    if (res.report.lookup_latency_us_q.count() > 0) {
-      look_p50 += res.report.lookup_latency_us_q.value(0);
-      look_p90 += res.report.lookup_latency_us_q.value(1);
-      look_p99 += res.report.lookup_latency_us_q.value(2);
-      ++look_trials;
-    }
+  bool first = true;
+  for (const Trial& o : trials) {
+    report.max_load.add(o.max_load);
+    sum_s += o.seconds;
+    if (first || o.seconds < min_s) min_s = o.seconds;
+    if (first || o.seconds > max_s) max_s = o.seconds;
+    first = false;
   }
-  if (ins_trials > 0) {
-    const double k = static_cast<double>(ins_trials);
-    w.insert_latency_p50 = ins_p50 / k;
-    w.insert_latency_p90 = ins_p90 / k;
-    w.insert_latency_p99 = ins_p99 / k;
+  const Scenario& sc = report.spec;
+  report.quantile_values.reserve(sc.quantiles.size());
+  for (const double q : sc.quantiles) {
+    report.quantile_values.push_back(
+        static_cast<double>(report.max_load.quantile(q)));
   }
-  if (look_trials > 0) {
-    const double k = static_cast<double>(look_trials);
-    w.lookup_latency_p50 = look_p50 / k;
-    w.lookup_latency_p90 = look_p90 / k;
-    w.lookup_latency_p99 = look_p99 / k;
-  }
-  if (inserts > 0) {
-    w.links_per_insert =
-        static_cast<double>(w.datagrams) / static_cast<double>(inserts);
-    w.stale_fraction =
-        static_cast<double>(stale) / static_cast<double>(inserts);
-  }
-  w.mean_end_time = sum_elapsed / static_cast<double>(sc.trials);
   report.total_seconds = sum_s;
   report.trial_seconds_min = min_s;
   report.trial_seconds_max = max_s;
-  report.trial_seconds_mean = sum_s / static_cast<double>(sc.trials);
+  report.trial_seconds_mean = sum_s / static_cast<double>(trials.size());
+  if (sum_s > 0.0) {
+    report.balls_per_sec = static_cast<double>(sc.balls()) *
+                           static_cast<double>(sc.trials) / sum_s;
+  }
+}
+
+/// One wire trial, from what both transports expose: the client's counts
+/// and P² sets, the nodes' loads and stale reads, and the per-type link
+/// counters.
+struct WireTrial {
+  std::uint32_t max_load = 0;
+  double seconds = 0.0;
+  std::uint64_t inserts = 0;
+  std::uint64_t probe_hops = 0;
+  std::uint64_t stale_reads = 0;
+  std::uint64_t data_retransmits = 0;
+  std::uint64_t census_retries = 0;
+  double mean_lookup_hops = 0.0;
+  stats::P2QuantileSet lookup_hops_q{{0.5, 0.9, 0.99}};
+  stats::P2QuantileSet insert_latency_q{{0.5, 0.9, 0.99}};
+  stats::P2QuantileSet lookup_latency_q{{0.5, 0.9, 0.99}};
+  net::LinkCounters links;
+  double end_time = 0.0;         // µs
+  std::uint64_t events = 0;      // kSim only
+  std::uint64_t datagrams = 0;   // kUdp only
+  std::uint64_t malformed = 0;   // kUdp only
+};
+
+/// Trial `trial` of a wire scenario on its transport, timed like a
+/// structural trial (ring build plus run). Only `trace` (trial 0's, or
+/// null) records.
+WireTrial wire_trial(const Scenario& sc, std::uint64_t trial,
+                     obs::TraceRecorder* trace) {
+  WireTrial out;
+  const auto t0 = Clock::now();
+  if (sc.transport == WireTransport::kSim) {
+    net::NetConfig cfg;
+    cfg.nodes = static_cast<std::size_t>(sc.num_servers);
+    cfg.keys = sc.balls();
+    cfg.choices = sc.num_choices;
+    cfg.window = sc.window;
+    cfg.tie = sc.tie;
+    cfg.latency = sc.latency;
+    cfg.lookups = sc.lookups;
+    cfg.seed = sc.seed;
+    cfg.trial = trial;
+    cfg.trace = trace;
+    const net::NetMetrics m = net::NetSimulator::simulate(cfg);
+    out.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    out.max_load = m.max_load;
+    out.inserts = m.inserts;
+    out.probe_hops = m.probe_hops;
+    out.stale_reads = m.stale_reads;
+    out.data_retransmits = m.retransmits;
+    out.mean_lookup_hops = m.lookup_hops.mean();
+    out.lookup_hops_q = m.lookup_hops_q;
+    out.insert_latency_q = m.insert_latency_q;
+    out.lookup_latency_q = m.lookup_latency_q;
+    out.links = {m.links, m.links_by_type};
+    out.end_time = m.end_time;
+    out.events = m.events;
+    return out;
+  }
+  net::ClusterConfig cc;
+  cc.nodes = static_cast<std::size_t>(sc.num_servers);
+  cc.driver = {.inserts = sc.balls(), .lookups = sc.lookups,
+               .choices = sc.num_choices, .window = sc.window, .tie = sc.tie,
+               .seed = sc.seed, .trial = trial, .trace = trace};
+  const net::ClusterResult res = net::run_loopback_cluster(cc);
+  out.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  const net::DriverReport& r = res.report;
+  out.max_load = r.max_load;
+  out.inserts = r.inserts;
+  out.probe_hops = r.probe_hops;
+  out.stale_reads = res.stale_reads;
+  out.data_retransmits = r.data_retransmits;
+  out.census_retries = r.census_retries;
+  out.mean_lookup_hops = r.lookup_hops.mean();
+  out.lookup_hops_q = r.lookup_hops_q;
+  out.insert_latency_q = r.insert_latency_us_q;
+  out.lookup_latency_q = r.lookup_latency_us_q;
+  out.links = res.links;
+  out.end_time = static_cast<double>(res.elapsed_us);
+  out.datagrams = res.links.total;
+  out.malformed = res.malformed;
   if (obs::enabled()) {
     static const obs::Counter c_datagrams("cluster.datagrams");
     static const obs::Counter c_malformed("cluster.malformed");
@@ -476,14 +507,61 @@ void run_udp_trials(const Scenario& sc, RunReport& report,
     static const obs::Counter c_stale("cluster.stale_reads");
     static const obs::Counter c_data_rtx("cluster.data_retransmits");
     static const obs::Counter c_census("cluster.census_retries");
-    c_datagrams.add(w.datagrams);
-    c_malformed.add(w.malformed);
-    c_inserts.add(inserts);
-    c_lookups.add(sc.lookups * sc.trials);
-    c_stale.add(stale);
-    c_data_rtx.add(w.data_retransmits);
-    c_census.add(w.census_retries);
+    c_datagrams.add(out.datagrams);
+    c_malformed.add(out.malformed);
+    c_inserts.add(r.inserts);
+    c_lookups.add(r.lookups);
+    c_stale.add(out.stale_reads);
+    c_data_rtx.add(r.data_retransmits);
+    c_census.add(r.census_retries);
   }
+  return out;
+}
+
+/// The wire metrics of a run, summed in trial order with each per-trial
+/// term divided by the trial count.
+WireMetrics aggregate_wire(const std::vector<WireTrial>& trials) {
+  WireMetrics w;
+  w.present = true;
+  const auto t = static_cast<double>(trials.size());
+  std::uint64_t inserts = 0, links = 0, probe_hops = 0, stale = 0;
+  for (const WireTrial& r : trials) {
+    w.mean_lookup_hops += r.mean_lookup_hops / t;
+    w.lookup_hops_p50 += r.lookup_hops_q.value(0) / t;
+    w.lookup_hops_p90 += r.lookup_hops_q.value(1) / t;
+    w.lookup_hops_p99 += r.lookup_hops_q.value(2) / t;
+    w.insert_latency_p50 += r.insert_latency_q.value(0) / t;
+    w.insert_latency_p90 += r.insert_latency_q.value(1) / t;
+    w.insert_latency_p99 += r.insert_latency_q.value(2) / t;
+    w.lookup_latency_p50 += r.lookup_latency_q.value(0) / t;
+    w.lookup_latency_p90 += r.lookup_latency_q.value(1) / t;
+    w.lookup_latency_p99 += r.lookup_latency_q.value(2) / t;
+    w.mean_events += static_cast<double>(r.events) / t;
+    w.mean_end_time += r.end_time / t;
+    inserts += r.inserts;
+    for (const net::MsgType k : {net::MsgType::kProbe,
+                                 net::MsgType::kProbeReply,
+                                 net::MsgType::kPlace,
+                                 net::MsgType::kPlaceAck}) {
+      links += r.links.by_type[static_cast<std::size_t>(k)];
+    }
+    probe_hops += r.probe_hops;
+    stale += r.stale_reads;
+    w.datagrams += r.datagrams;
+    w.malformed += r.malformed;
+    w.data_retransmits += r.data_retransmits;
+    w.census_retries += r.census_retries;
+  }
+  w.retransmits = w.data_retransmits + w.census_retries;
+  if (inserts > 0) {
+    const auto per_insert = [inserts](std::uint64_t v) {
+      return static_cast<double>(v) / static_cast<double>(inserts);
+    };
+    w.links_per_insert = per_insert(links);
+    w.probe_hops_per_insert = per_insert(probe_hops);
+    w.stale_fraction = per_insert(stale);
+  }
+  return w;
 }
 
 /// Serialize the run's trace to `path` as Chrome trace-event JSON (load in
@@ -507,53 +585,30 @@ void write_trace_file(const obs::TraceRecorder& rec, const std::string& path) {
 }
 
 RunReport run_wire(const Scenario& sc) {
-  validate_wire(sc);
-  RunReport report;
-  report.spec = sc;
   // Wire runs have no structural engine; echo kScalar so the resolved
   // spec is concrete (never kAuto) and reruns cleanly.
-  report.spec.engine = Engine::kScalar;
-  report.spec.num_balls = sc.balls();
-  report.spec.threads = resolve_threads(sc.threads);
-  report.wire.present = true;
+  validate(sc, Engine::kScalar);
+  RunReport report = resolved_report(sc, Engine::kScalar);
 
-  // One recorder serves both transports: the DES loop and the UDP
-  // loopback pump are each single-threaded at the record sites, and only
-  // trial 0 writes, so the ring never sees two writers.
+  // One recorder serves both transports: a trial is single-threaded at
+  // the record sites, and only trial 0 writes, so the ring never sees two
+  // writers.
   std::unique_ptr<obs::TraceRecorder> recorder;
   if (!sc.trace_out.empty()) {
     recorder = std::make_unique<obs::TraceRecorder>();
   }
-
-  if (sc.transport == WireTransport::kSim) {
-    const auto t0 = Clock::now();
-    NetScenarioConfig ncfg = net_scenario_config(sc);
-    ncfg.trace = recorder.get();
-    const NetScenarioResult r = run_net_scenario(ncfg);
-    const double total =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    report.max_load = r.max_load;
-    static_cast<WireSummary&>(report.wire) = r;
-    // run_net_scenario runs trials in parallel, so per-trial wall times
-    // are not separable; report the mean as the whole range.
-    report.total_seconds = total;
-    report.trial_seconds_mean = total / static_cast<double>(sc.trials);
-    report.trial_seconds_min = report.trial_seconds_mean;
-    report.trial_seconds_max = report.trial_seconds_mean;
-  } else {
-    run_udp_trials(sc, report, recorder.get());
-  }
+  // udp trials share the kernel's loopback path and the wall clock, so
+  // parallel ones would contend, not speed up: they get one thread.
+  const auto trials = parallel::run_trials(
+      sc.trials, sc.seed,
+      [&](std::uint64_t trial, rng::DefaultEngine& /*unused*/) {
+        return wire_trial(sc, trial, trial == 0 ? recorder.get() : nullptr);
+      },
+      sc.transport == WireTransport::kUdp ? 1 : sc.threads);
   if (recorder) write_trace_file(*recorder, sc.trace_out);
-  if (report.total_seconds > 0.0) {
-    report.balls_per_sec = static_cast<double>(sc.balls()) *
-                           static_cast<double>(sc.trials) /
-                           report.total_seconds;
-  }
-  report.quantile_values.reserve(sc.quantiles.size());
-  for (const double q : sc.quantiles) {
-    report.quantile_values.push_back(
-        static_cast<double>(report.max_load.quantile(q)));
-  }
+
+  finish_report(trials, report);
+  report.wire = aggregate_wire(trials);
   return report;
 }
 
@@ -565,42 +620,12 @@ RunReport run_structural(const Scenario& sc) {
 
   const auto outcomes = run_space(sc, engine, measure_samples);
 
-  RunReport report;
-  report.spec = sc;
-  report.spec.engine = engine;
-  report.spec.num_balls = sc.balls();
-  report.spec.threads = resolve_threads(sc.threads);
+  RunReport report = resolved_report(sc, engine);
   if (sc.space == SpaceKind::kTorusNd &&
       core::needs_region_measure(sc.tie)) {
     report.spec.measure_samples = measure_samples;
   }
-
-  double min_s = 0.0, max_s = 0.0, sum_s = 0.0;
-  bool first = true;
-  for (const TrialOutcome& o : outcomes) {
-    report.max_load.add(o.max_load);
-    sum_s += o.seconds;
-    if (first || o.seconds < min_s) min_s = o.seconds;
-    if (first || o.seconds > max_s) max_s = o.seconds;
-    first = false;
-  }
-  // Exact percentiles: every per-trial max load is retained in the
-  // histogram, so there is nothing to stream-estimate (the P² machinery
-  // stays on the net/ per-message metrics, where traces are not kept).
-  report.quantile_values.reserve(sc.quantiles.size());
-  for (const double q : sc.quantiles) {
-    report.quantile_values.push_back(
-        static_cast<double>(report.max_load.quantile(q)));
-  }
-  report.total_seconds = sum_s;
-  report.trial_seconds_min = min_s;
-  report.trial_seconds_max = max_s;
-  report.trial_seconds_mean =
-      sum_s / static_cast<double>(outcomes.size());
-  if (sum_s > 0.0) {
-    report.balls_per_sec = static_cast<double>(sc.balls()) *
-                           static_cast<double>(sc.trials) / sum_s;
-  }
+  finish_report(outcomes, report);
   return report;
 }
 
@@ -712,6 +737,37 @@ namespace {
   return buf;
 }
 
+/// The wire block scenario_json writes and the columns scenario_csv_*
+/// add for a wire-model spec, in that order; `text` values are quoted in
+/// JSON.
+struct WireField {
+  const char* name;
+  std::string value;
+  bool text = false;
+};
+
+[[nodiscard]] std::vector<WireField> wire_fields(const Scenario& sc,
+                                                 const WireMetrics& w) {
+  const auto u = [](std::uint64_t v) { return std::to_string(v); };
+  return {
+      {"transport", std::string(to_string(sc.transport)), true},
+      {"latency", std::string(net::to_string(sc.latency.kind)), true},
+      {"lat_a", format_double(sc.latency.a)},
+      {"lat_b", format_double(sc.latency.b)},
+      {"window", u(sc.window)},
+      {"lookups", u(sc.lookups)},
+      {"links_per_insert", format_double(w.links_per_insert)},
+      {"stale_fraction", format_double(w.stale_fraction)},
+      {"insert_latency_p99", format_double(w.insert_latency_p99)},
+      {"lookup_hops_p99", format_double(w.lookup_hops_p99)},
+      {"datagrams", u(w.datagrams)},
+      {"malformed", u(w.malformed)},
+      {"retransmits", u(w.retransmits)},
+      {"data_retransmits", u(w.data_retransmits)},
+      {"census_retries", u(w.census_retries)},
+  };
+}
+
 }  // namespace
 
 std::string render_run_summary(const RunReport& report) {
@@ -744,9 +800,10 @@ std::string render_run_summary(const RunReport& report) {
                   static_cast<unsigned long long>(sc.lookups));
     out += buf;
     std::snprintf(buf, sizeof(buf),
-                  "          links/insert %.2f, stale %.4f, "
-                  "insert lat p50/p90/p99 %.2f/%.2f/%.2f\n",
-                  w.links_per_insert, w.stale_fraction, w.insert_latency_p50,
+                  "          links/insert %.2f, probe hops/insert %.2f, "
+                  "stale %.4f, insert lat p50/p90/p99 %.2f/%.2f/%.2f\n",
+                  w.links_per_insert, w.probe_hops_per_insert,
+                  w.stale_fraction, w.insert_latency_p50,
                   w.insert_latency_p90, w.insert_latency_p99);
     out += buf;
     if (sc.lookups > 0) {
@@ -759,17 +816,19 @@ std::string render_run_summary(const RunReport& report) {
                     w.lookup_latency_p90, w.lookup_latency_p99);
       out += buf;
     }
+    out += "          ";
     if (sc.transport == WireTransport::kUdp) {
-      std::snprintf(buf, sizeof(buf),
-                    "          datagrams %llu, malformed %llu, "
-                    "retransmits %llu (data %llu, census %llu)\n",
+      std::snprintf(buf, sizeof(buf), "datagrams %llu, malformed %llu, ",
                     static_cast<unsigned long long>(w.datagrams),
-                    static_cast<unsigned long long>(w.malformed),
-                    static_cast<unsigned long long>(w.retransmits),
-                    static_cast<unsigned long long>(w.data_retransmits),
-                    static_cast<unsigned long long>(w.census_retries));
+                    static_cast<unsigned long long>(w.malformed));
       out += buf;
     }
+    std::snprintf(buf, sizeof(buf),
+                  "retransmits %llu (data %llu, census %llu)\n",
+                  static_cast<unsigned long long>(w.retransmits),
+                  static_cast<unsigned long long>(w.data_retransmits),
+                  static_cast<unsigned long long>(w.census_retries));
+    out += buf;
   }
   if (!report.metrics.empty()) {
     out += "metrics:\n";
@@ -828,6 +887,9 @@ std::vector<std::string> scenario_csv_header(const Scenario& spec) {
   for (const double q : spec.quantiles) h.push_back(quantile_label(q));
   h.insert(h.end(), {"max_load_min", "max_load_max", "total_seconds",
                      "balls_per_sec"});
+  if (spec.model == ExecModel::kWire) {
+    for (const WireField& f : wire_fields(spec, {})) h.push_back(f.name);
+  }
   return h;
 }
 
@@ -854,6 +916,11 @@ std::vector<std::string> scenario_csv_row(const RunReport& report) {
   row.push_back(std::to_string(report.max_load.max_value()));
   row.push_back(format_double(report.total_seconds));
   row.push_back(format_double(report.balls_per_sec));
+  if (sc.model == ExecModel::kWire) {
+    for (WireField& f : wire_fields(sc, report.wire)) {
+      row.push_back(std::move(f.value));
+    }
+  }
   return row;
 }
 
@@ -879,33 +946,15 @@ std::string scenario_json(const RunReport& report) {
       static_cast<unsigned long long>(sc.measure_samples));
   json += buf;
   if (report.wire.present) {
-    const WireMetrics& w = report.wire;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"wire\": {\"transport\": \"%s\", \"latency\": \"%s\", "
-        "\"lat_a\": %s, \"lat_b\": %s, \"window\": %u, \"lookups\": %llu, ",
-        std::string(to_string(sc.transport)).c_str(),
-        std::string(net::to_string(sc.latency.kind)).c_str(),
-        format_double(sc.latency.a).c_str(),
-        format_double(sc.latency.b).c_str(), sc.window,
-        static_cast<unsigned long long>(sc.lookups));
-    json += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "\"links_per_insert\": %s, \"stale_fraction\": %s, "
-        "\"insert_latency_p99\": %s, \"lookup_hops_p99\": %s, "
-        "\"datagrams\": %llu, \"malformed\": %llu, \"retransmits\": %llu, "
-        "\"data_retransmits\": %llu, \"census_retries\": %llu},\n",
-        format_double(w.links_per_insert).c_str(),
-        format_double(w.stale_fraction).c_str(),
-        format_double(w.insert_latency_p99).c_str(),
-        format_double(w.lookup_hops_p99).c_str(),
-        static_cast<unsigned long long>(w.datagrams),
-        static_cast<unsigned long long>(w.malformed),
-        static_cast<unsigned long long>(w.retransmits),
-        static_cast<unsigned long long>(w.data_retransmits),
-        static_cast<unsigned long long>(w.census_retries));
-    json += buf;
+    json += "  \"wire\": {";
+    const char* sep = "";
+    for (const WireField& f : wire_fields(sc, report.wire)) {
+      json += sep;
+      json += "\"" + std::string(f.name) + "\": ";
+      json += f.text ? "\"" + f.value + "\"" : f.value;
+      sep = ", ";
+    }
+    json += "},\n";
   }
   if (!report.metrics.empty()) {
     json += "  \"metrics\": {";

@@ -10,9 +10,8 @@
 //
 // Determinism contract (inherited from the engines):
 //   * Trial t builds its space from the (seed, t, kServerPlacement)
-//     substream and runs balls on (seed, t, kBallChoices) — identical to
-//     the historical run_max_load_experiment derivation, so the shim in
-//     experiment.hpp is bit-compatible with every pinned golden value.
+//     substream and runs balls on (seed, t, kBallChoices), so the scalar
+//     engine reproduces every pinned golden histogram.
 //   * For deterministic tie-breaks (kFirstChoice, kLowestIndex, the
 //     region strategies) all three engines consume the ball stream
 //     identically, so RunReport::max_load is bit-identical across
@@ -32,8 +31,10 @@
 // reporting per-message hop/latency/staleness metrics next to the
 // max-load distribution. The net fields (latency, window, lookups,
 // transport) live in the spec, so RunReport::spec reproduces net runs
-// exactly like structural ones. A sim-transport wire run is sequential
-// within a trial (one NetSimulator) and parallel across trials.
+// exactly like structural ones. Both transports run the same per-trial
+// function and one aggregation fills RunReport::wire. A trial is
+// sequential (one NetSimulator, or one cluster pumped from one thread);
+// sim-transport trials run in parallel, udp ones one after another.
 #pragma once
 
 #include <cstdint>
@@ -90,10 +91,9 @@ enum class WireTransport {
 [[nodiscard]] std::string_view to_string(WireTransport t) noexcept;
 [[nodiscard]] WireTransport wire_transport_from_string(std::string_view name);
 
-/// Declarative experiment spec. The first block of fields matches
-/// ExperimentConfig member-for-member (see experiment.hpp for the
-/// migration map); the rest are the engine selector, per-space knobs,
-/// and reporting options.
+/// Declarative experiment spec: the experiment (space, n/m/d, tie-break,
+/// trials, seed, threads), the engine selector, per-space knobs, the
+/// wire-model knobs and reporting options.
 struct Scenario {
   SpaceKind space = SpaceKind::kRing;
   std::uint64_t num_servers = 1 << 8;  // n
@@ -165,13 +165,15 @@ struct Scenario {
 };
 
 /// Per-message metrics a wire-model run reports next to the max-load
-/// distribution, in RunReport::wire and in run_net_scenario's result.
-/// Latency/hop percentiles are per-trial P² estimates averaged over trials
-/// (run_net_scenario's aggregation). Units differ by transport: kSim
-/// latencies are simulated microseconds, kUdp latencies are real ones.
-/// The hop/event fields are kSim-only (the real cluster does not trace
-/// per-message routing).
-struct WireSummary {
+/// distribution, in RunReport::wire. They are read from what both
+/// transports expose — the client's counts and P² sets, the nodes' loads
+/// and stale reads, the per-type link counters — and aggregated over the
+/// trials in trial order, so a field both transports fill means the same
+/// on both, up to the clock: kSim times are simulated microseconds, kUdp
+/// ones real microseconds. Percentiles are per-trial P² estimates
+/// averaged over trials.
+struct WireMetrics {
+  bool present = false;  // true iff the report came from ExecModel::kWire
   double mean_lookup_hops = 0.0;
   double lookup_hops_p50 = 0.0;
   double lookup_hops_p90 = 0.0;
@@ -182,25 +184,29 @@ struct WireSummary {
   double lookup_latency_p50 = 0.0;
   double lookup_latency_p90 = 0.0;
   double lookup_latency_p99 = 0.0;
-  /// Wire cost per insert: protocol sends, self-addressed ones included
-  /// (the client's d probes to itself among them) — the insert kinds'
-  /// links in kSim, every UdpTransport send in kUdp.
+  /// Insert-protocol sends (probe, probe reply, place, place ack) per
+  /// insert, self-addressed ones included (the client's d probes to
+  /// itself among them). kUdp also counts the closing load census, whose
+  /// probes and replies are of the same kinds and which the simulator
+  /// stops before: a probe per node routed from the client, and its reply
+  /// (27 sends on top of 2,505 at n = 8, 256 keys, window 4).
   double links_per_insert = 0.0;
   double probe_hops_per_insert = 0.0;
   /// Fraction of placements that acted on a stale load reply.
   double stale_fraction = 0.0;
+  /// Delivered messages per trial (kSim only; 0 on kUdp).
   double mean_events = 0.0;
+  /// When a trial stopped, in µs from its start: the workload's last
+  /// reply on kSim, the census's last reply on kUdp.
   double mean_end_time = 0.0;
-};
-
-/// A wire-model run's WireSummary, plus the kUdp-only datagram counters.
-struct WireMetrics : WireSummary {
-  bool present = false;  // true iff the report came from ExecModel::kWire
-  // kUdp only: totals across all trials. retransmits is the total;
-  // data_retransmits (suspected loss on the workload path) and
-  // census_retries (read-only census re-probes) split it.
+  /// kUdp only: every transport send (self-addressed included) and the
+  /// received frames that failed to decode, summed over trials.
   std::uint64_t datagrams = 0;
   std::uint64_t malformed = 0;
+  /// The client's resends after a retransmit alarm, summed over trials:
+  /// retransmits is the total; data_retransmits (suspected loss on the
+  /// workload path) and census_retries (read-only census re-probes, kUdp
+  /// only) split it.
   std::uint64_t retransmits = 0;
   std::uint64_t data_retransmits = 0;
   std::uint64_t census_retries = 0;
@@ -232,7 +238,9 @@ struct RunReport {
   /// counters, udp runs the cluster.* counters.
   std::vector<obs::MetricValue> metrics;
 
-  /// Per-trial wall timing (seconds), aggregated over trials.
+  /// Per-trial wall timing (seconds), aggregated over trials: each trial
+  /// is timed alone (space build plus engine, or one wire run), and
+  /// total_seconds is the sum.
   double total_seconds = 0.0;
   double trial_seconds_min = 0.0;
   double trial_seconds_mean = 0.0;
@@ -260,11 +268,13 @@ struct RunReport {
 /// kSharded rule when spec.threads == 0.
 [[nodiscard]] Engine resolve_engine(const Scenario& sc) noexcept;
 
-/// Execute the scenario: trials in parallel for scalar/batched (thread-
-/// count invariant), sequential trials with an intra-trial worker pool
-/// for sharded. Throws std::invalid_argument on unrunnable specs
-/// (zero trials/servers, d < 1, unsupported engine × space, partitioned
-/// sampling off the ring, bad dims/quantiles).
+/// Execute the scenario: trials in parallel for scalar/batched and
+/// sim-transport wire runs (thread-count invariant), sequential trials
+/// with an intra-trial worker pool for sharded, and one after another for
+/// udp-transport wire runs. Throws std::invalid_argument on unrunnable
+/// specs (zero trials/servers, d < 1, unsupported engine × space,
+/// partitioned sampling off the ring, bad dims/quantiles, a wire run off
+/// the Chord ring or with a bad window or latency model).
 [[nodiscard]] RunReport run(const Scenario& sc);
 
 /// Parse the shared scenario flags over `defaults`, so every binary
@@ -291,7 +301,8 @@ struct RunReport {
 [[nodiscard]] std::string render_run_summary(const RunReport& report);
 
 /// CSV schema: full resolved-spec echo plus the max-load metrics. The
-/// quantile columns mirror spec.quantiles ("p50", "p90", ...), so pass
+/// quantile columns mirror spec.quantiles ("p50", "p90", ...), and a
+/// wire-model spec adds the wire columns scenario_json writes, so pass
 /// the same spec whose reports you will write.
 [[nodiscard]] std::vector<std::string> scenario_csv_header(
     const Scenario& spec);

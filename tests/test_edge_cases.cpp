@@ -53,12 +53,13 @@ TEST(EdgeCases, ProcessWithMoreChoicesThanBins) {
 TEST(EdgeCases, PoissonMaxLoadCdfMatchesSimulation) {
   // d = 1 uniform: P(max load <= k) from theory vs 400 trials at n = 1024.
   const std::uint64_t n = 1024;
-  gm::ExperimentConfig cfg;
-  cfg.space = gm::SpaceKind::kUniform;
-  cfg.num_servers = n;
-  cfg.num_choices = 1;
-  cfg.trials = 400;
-  const auto h = gm::run_max_load_experiment(cfg);
+  gm::Scenario sc;
+  sc.space = gm::SpaceKind::kUniform;
+  sc.engine = gm::Engine::kScalar;
+  sc.num_servers = n;
+  sc.num_choices = 1;
+  sc.trials = 400;
+  const auto h = gm::run(sc).max_load;
   for (std::uint64_t k = 5; k <= 9; ++k) {
     double measured_cdf = 0.0;
     for (std::uint64_t v = 0; v <= k; ++v) measured_cdf += h.fraction(v);
@@ -72,14 +73,15 @@ TEST(EdgeCases, PoissonMaxLoadCdfMatchesSimulation) {
 TEST(EdgeCases, ExperimentRunnerHonoursPartitionedScheme) {
   // Vöcking through the harness: partitioned + first-choice should be
   // stochastically no worse than random ties at the same seed budget.
-  gm::ExperimentConfig random_cfg;
-  random_cfg.num_servers = 1 << 12;
-  random_cfg.trials = 150;
-  gm::ExperimentConfig vocking_cfg = random_cfg;
-  vocking_cfg.tie = gc::TieBreak::kFirstChoice;
-  vocking_cfg.scheme = gc::ChoiceScheme::kPartitioned;
-  const double r = gm::run_max_load_experiment(random_cfg).mean();
-  const double v = gm::run_max_load_experiment(vocking_cfg).mean();
+  gm::Scenario random_sc;
+  random_sc.engine = gm::Engine::kScalar;
+  random_sc.num_servers = 1 << 12;
+  random_sc.trials = 150;
+  gm::Scenario vocking_sc = random_sc;
+  vocking_sc.tie = gc::TieBreak::kFirstChoice;
+  vocking_sc.scheme = gc::ChoiceScheme::kPartitioned;
+  const double r = gm::run(random_sc).mean_max_load();
+  const double v = gm::run(vocking_sc).mean_max_load();
   EXPECT_LE(v, r + 0.05);
 }
 

@@ -32,26 +32,28 @@ TEST(Golden, PhiloxHash) {
 }
 
 TEST(Golden, RingExperimentHistogram) {
-  gm::ExperimentConfig cfg;
-  cfg.space = gm::SpaceKind::kRing;
-  cfg.num_servers = 256;
-  cfg.num_choices = 2;
-  cfg.trials = 50;
-  cfg.seed = 12345;
-  const auto h = gm::run_max_load_experiment(cfg);
+  gm::Scenario sc;
+  sc.space = gm::SpaceKind::kRing;
+  sc.engine = gm::Engine::kScalar;
+  sc.num_servers = 256;
+  sc.num_choices = 2;
+  sc.trials = 50;
+  sc.seed = 12345;
+  const auto h = gm::run(sc).max_load;
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> want = {
       {3, 12}, {4, 37}, {5, 1}};
   EXPECT_EQ(h.items(), want);
 }
 
 TEST(Golden, TorusExperimentHistogram) {
-  gm::ExperimentConfig cfg;
-  cfg.space = gm::SpaceKind::kTorus;
-  cfg.num_servers = 256;
-  cfg.num_choices = 2;
-  cfg.trials = 20;
-  cfg.seed = 12345;
-  const auto h = gm::run_max_load_experiment(cfg);
+  gm::Scenario sc;
+  sc.space = gm::SpaceKind::kTorus;
+  sc.engine = gm::Engine::kScalar;
+  sc.num_servers = 256;
+  sc.num_choices = 2;
+  sc.trials = 20;
+  sc.seed = 12345;
+  const auto h = gm::run(sc).max_load;
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> want = {
       {3, 18}, {4, 2}};
   EXPECT_EQ(h.items(), want);

@@ -21,7 +21,6 @@
 #include "net/udp_transport.hpp"
 #include "obs/obs.hpp"
 #include "rng/rng.hpp"
-#include "sim/net_experiment.hpp"
 #include "sim/scenario.hpp"
 #include "stats/chi_squared.hpp"
 
@@ -392,22 +391,35 @@ TEST(NetSim, StoreWorkloadRecordsPlacements) {
   EXPECT_EQ(by_owner, m.loads);
 }
 
+/// mixed_config's protocol knobs as a wire-model Scenario on a 64-node
+/// ring.
+gs::Scenario mixed_scenario() {
+  const gn::NetConfig cfg = mixed_config();
+  gs::Scenario sc;
+  sc.model = gs::ExecModel::kWire;
+  sc.space = gs::SpaceKind::kChordNet;
+  sc.num_servers = 64;
+  sc.num_balls = 128;
+  sc.num_choices = cfg.choices;
+  sc.window = cfg.window;
+  sc.latency = cfg.latency;
+  sc.lookups = 64;
+  sc.seed = cfg.seed;
+  return sc;
+}
+
 TEST(NetSim, ScenarioIsThreadCountInvariant) {
-  gs::NetScenarioConfig cfg;
-  cfg.net = mixed_config();
-  cfg.net.nodes = 64;
-  cfg.net.keys = 128;
-  cfg.net.lookups = 64;
-  cfg.trials = 8;
-  cfg.threads = 1;
-  const auto a = gs::run_net_scenario(cfg);
-  cfg.threads = 4;
-  const auto b = gs::run_net_scenario(cfg);
+  auto sc = mixed_scenario();
+  sc.trials = 8;
+  sc.threads = 1;
+  const auto a = gs::run(sc);
+  sc.threads = 4;
+  const auto b = gs::run(sc);
   EXPECT_TRUE(a.max_load == b.max_load);
-  EXPECT_DOUBLE_EQ(a.mean_lookup_hops, b.mean_lookup_hops);
-  EXPECT_DOUBLE_EQ(a.lookup_latency_p99, b.lookup_latency_p99);
-  EXPECT_DOUBLE_EQ(a.links_per_insert, b.links_per_insert);
-  EXPECT_DOUBLE_EQ(a.stale_fraction, b.stale_fraction);
+  EXPECT_DOUBLE_EQ(a.wire.mean_lookup_hops, b.wire.mean_lookup_hops);
+  EXPECT_DOUBLE_EQ(a.wire.lookup_latency_p99, b.wire.lookup_latency_p99);
+  EXPECT_DOUBLE_EQ(a.wire.links_per_insert, b.wire.links_per_insert);
+  EXPECT_DOUBLE_EQ(a.wire.stale_fraction, b.wire.stale_fraction);
 }
 
 TEST(NetSim, ScenarioIsEngineInvariant) {
@@ -860,15 +872,13 @@ TEST(NetSim, ChordSuccessorSpaceOwnsSuccessorArcs) {
 }
 
 TEST(NetSim, RenderNetSummaryMentionsKeyMetrics) {
-  gs::NetScenarioConfig cfg;
-  cfg.net.nodes = 64;
-  cfg.net.keys = 128;
-  cfg.net.lookups = 64;
-  cfg.trials = 4;
-  cfg.threads = 1;
-  const auto result = gs::run_net_scenario(cfg);
-  const auto text = gs::render_net_summary(cfg, result);
+  auto sc = mixed_scenario();
+  sc.trials = 4;
+  sc.threads = 1;
+  const auto text = gs::render_run_summary(gs::run(sc));
   EXPECT_NE(text.find("lookup hops"), std::string::npos);
-  EXPECT_NE(text.find("stale placements"), std::string::npos);
-  EXPECT_NE(text.find("max keys per node"), std::string::npos);
+  EXPECT_NE(text.find("probe hops/insert"), std::string::npos);
+  EXPECT_NE(text.find("stale"), std::string::npos);
+  EXPECT_NE(text.find("retransmits"), std::string::npos);
+  EXPECT_NE(text.find("distribution of max load"), std::string::npos);
 }

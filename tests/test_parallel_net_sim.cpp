@@ -1,7 +1,7 @@
 // test_parallel_net_sim.cpp — the network simulation run in parallel.
 //
-// A trial runs on one sequential NetSimulator; run_net_scenario and
-// sim::run spread the trials over a ThreadPool (parallel_for cuts the
+// A trial runs on one sequential NetSimulator; sim::run spreads the
+// trials over a ThreadPool (parallel_for cuts the
 // trial range into contiguous blocks, about four per worker). This suite
 // pins what that concurrency must never change: every trial, whichever
 // worker runs it and whatever runs beside it, replays its sequential
@@ -26,7 +26,7 @@
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
-#include "sim/net_experiment.hpp"
+#include "sim/scenario.hpp"
 
 namespace gn = geochoice::net;
 namespace go = geochoice::obs;
@@ -68,7 +68,7 @@ struct TrialRun {
   std::vector<gn::TraceEvent> trace;
 };
 
-/// Trial `trial` of `cfg` on its own ring, as run_net_scenario runs it.
+/// Trial `trial` of `cfg` on its own ring, as sim::run runs it.
 TrialRun run_trial(gn::NetConfig cfg, std::uint64_t trial) {
   cfg.trial = trial;
   const auto ring = gn::NetSimulator::make_ring(cfg);
@@ -275,7 +275,7 @@ TEST(ParallelNetSim, ObsCounterTotalsInvariantAcrossWorkersAndShards) {
 TEST(ParallelNetSim, ShardStarvedCrewStillExact) {
   // More workers than trials: most of the pool has no trial in any
   // block. Exercises the idle-worker path, directly and through
-  // run_net_scenario.
+  // sim::run.
   auto cfg = mixed_config();
   cfg.nodes = 64;
   cfg.keys = 256;
@@ -283,20 +283,28 @@ TEST(ParallelNetSim, ShardStarvedCrewStillExact) {
   expect_same_runs(run_sequential(cfg, 2), run_sharded(cfg, 2, 8, 2),
                    layout(8, 2));
 
-  gs::NetScenarioConfig scn;
-  scn.net = cfg;
-  scn.trials = 2;
-  scn.threads = 1;
-  const auto a = gs::run_net_scenario(scn);
-  scn.threads = 8;
-  const auto b = gs::run_net_scenario(scn);
+  gs::Scenario sc;
+  sc.model = gs::ExecModel::kWire;
+  sc.space = gs::SpaceKind::kChordNet;
+  sc.num_servers = cfg.nodes;
+  sc.num_balls = cfg.keys;
+  sc.num_choices = cfg.choices;
+  sc.window = cfg.window;
+  sc.latency = cfg.latency;
+  sc.lookups = cfg.lookups;
+  sc.seed = cfg.seed;
+  sc.trials = 2;
+  sc.threads = 1;
+  const auto a = gs::run(sc);
+  sc.threads = 8;
+  const auto b = gs::run(sc);
   EXPECT_TRUE(a.max_load == b.max_load);
-  EXPECT_DOUBLE_EQ(a.mean_lookup_hops, b.mean_lookup_hops);
-  EXPECT_DOUBLE_EQ(a.insert_latency_p99, b.insert_latency_p99);
-  EXPECT_DOUBLE_EQ(a.links_per_insert, b.links_per_insert);
-  EXPECT_DOUBLE_EQ(a.stale_fraction, b.stale_fraction);
-  EXPECT_DOUBLE_EQ(a.mean_events, b.mean_events);
-  EXPECT_DOUBLE_EQ(a.mean_end_time, b.mean_end_time);
+  EXPECT_DOUBLE_EQ(a.wire.mean_lookup_hops, b.wire.mean_lookup_hops);
+  EXPECT_DOUBLE_EQ(a.wire.insert_latency_p99, b.wire.insert_latency_p99);
+  EXPECT_DOUBLE_EQ(a.wire.links_per_insert, b.wire.links_per_insert);
+  EXPECT_DOUBLE_EQ(a.wire.stale_fraction, b.wire.stale_fraction);
+  EXPECT_DOUBLE_EQ(a.wire.mean_events, b.wire.mean_events);
+  EXPECT_DOUBLE_EQ(a.wire.mean_end_time, b.wire.mean_end_time);
 }
 
 TEST(ParallelNetSim, MaxEventsStopsOnTheSamePrefix) {

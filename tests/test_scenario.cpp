@@ -5,6 +5,7 @@
 // resolved-spec echo, and the CSV/JSON reporting helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <system_error>
@@ -12,13 +13,13 @@
 #include <thread>
 #include <vector>
 
+#include "net/simulator.hpp"
 #include "sim/cli.hpp"
-#include "sim/experiment.hpp"
-#include "sim/net_experiment.hpp"
 #include "sim/scenario.hpp"
 
 namespace gm = geochoice::sim;
 namespace gc = geochoice::core;
+namespace gn = geochoice::net;
 
 namespace {
 
@@ -312,20 +313,6 @@ TEST(Scenario, CsvAndJsonEchoTheResolvedSpec) {
   EXPECT_NE(summary.find("distribution of max load"), std::string::npos);
 }
 
-// --------------------------------------------------------------- shim parity
-
-TEST(Scenario, ShimEqualsFacadeWithScalarEngine) {
-  gm::ExperimentConfig cfg;
-  cfg.space = gm::SpaceKind::kTorus;
-  cfg.num_servers = 128;
-  cfg.trials = 10;
-  cfg.seed = 321;
-  const auto via_shim = gm::run_max_load_experiment(cfg);
-  const auto via_facade = gm::run(gm::to_scenario(cfg)).max_load;
-  EXPECT_EQ(via_shim, via_facade);
-  EXPECT_EQ(gm::to_scenario(cfg).engine, gm::Engine::kScalar);
-}
-
 // --------------------------------------------------------------- wire model
 
 namespace {
@@ -343,23 +330,118 @@ gm::Scenario wire_scenario() {
   return sc;
 }
 
+/// The NetConfig trial `trial` of a kSim wire scenario runs.
+gn::NetConfig net_config(const gm::Scenario& sc, std::uint64_t trial) {
+  gn::NetConfig cfg;
+  cfg.nodes = sc.num_servers;
+  cfg.keys = sc.balls();
+  cfg.choices = sc.num_choices;
+  cfg.window = sc.window;
+  cfg.tie = sc.tie;
+  cfg.latency = sc.latency;
+  cfg.lookups = sc.lookups;
+  cfg.seed = sc.seed;
+  cfg.trial = trial;
+  return cfg;
+}
+
 }  // namespace
 
-// The front door's kSim path IS run_net_scenario: the bridge maps every
-// Scenario field onto NetScenarioConfig, so the histogram and the wire
-// metrics agree bit-for-bit with a direct call.
-TEST(ScenarioWire, SimPathEqualsRunNetScenario) {
+// A kSim run is NetSimulator::simulate of the same NetConfig, trial by
+// trial: the histogram holds each trial's max load, and the wire metrics
+// sum the trials' in trial order.
+TEST(ScenarioWire, SimPathEqualsNetSimulatorTrialByTrial) {
   const auto sc = wire_scenario();
   const auto report = gm::run(sc);
   ASSERT_TRUE(report.wire.present);
-  const auto direct = gm::run_net_scenario(gm::net_scenario_config(sc));
-  EXPECT_EQ(report.max_load, direct.max_load);
-  const auto r = gm::net_scenario_result(report);
-  EXPECT_DOUBLE_EQ(r.stale_fraction, direct.stale_fraction);
-  EXPECT_DOUBLE_EQ(r.links_per_insert, direct.links_per_insert);
-  EXPECT_DOUBLE_EQ(r.insert_latency_p99, direct.insert_latency_p99);
-  EXPECT_DOUBLE_EQ(r.lookup_hops_p50, direct.lookup_hops_p50);
-  EXPECT_DOUBLE_EQ(r.mean_events, direct.mean_events);
+
+  geochoice::stats::IntHistogram max_load;
+  double mean_lookup_hops = 0.0;
+  std::uint64_t inserts = 0, stale = 0, links = 0;
+  for (std::uint64_t t = 0; t < sc.trials; ++t) {
+    const auto m = gn::NetSimulator::simulate(net_config(sc, t));
+    max_load.add(m.max_load);
+    mean_lookup_hops +=
+        m.lookup_hops.mean() / static_cast<double>(sc.trials);
+    inserts += m.inserts;
+    stale += m.stale_reads;
+    for (const auto k : {gn::MsgType::kProbe, gn::MsgType::kProbeReply,
+                         gn::MsgType::kPlace, gn::MsgType::kPlaceAck}) {
+      links += m.links_by_type[static_cast<std::size_t>(k)];
+    }
+  }
+  const auto per_insert = [&](std::uint64_t v) {
+    return static_cast<double>(v) / static_cast<double>(inserts);
+  };
+  EXPECT_EQ(report.max_load, max_load);
+  EXPECT_DOUBLE_EQ(report.wire.stale_fraction, per_insert(stale));
+  EXPECT_DOUBLE_EQ(report.wire.mean_lookup_hops, mean_lookup_hops);
+  EXPECT_DOUBLE_EQ(report.wire.links_per_insert, per_insert(links));
+}
+
+// Simulated trials are timed one by one, like structural ones: the
+// report's range is real, and total_seconds is their sum.
+TEST(ScenarioWire, SimTrialsAreTimedOneByOne) {
+  auto sc = wire_scenario();
+  sc.trials = 8;
+  const auto r = gm::run(sc);
+  EXPECT_LE(r.trial_seconds_min, r.trial_seconds_mean);
+  EXPECT_LE(r.trial_seconds_mean, r.trial_seconds_max);
+  EXPECT_LT(r.trial_seconds_min, r.trial_seconds_max);
+  EXPECT_NEAR(r.total_seconds, 8.0 * r.trial_seconds_mean,
+              1e-9 * r.total_seconds);
+}
+
+// Links that outlast the client's 50 ms alarm (NetSim.
+// RetransmitsWhenLinksOutlastTheAlarm's delays) make it resend, and the
+// report counts the resends, as it does over UDP.
+TEST(ScenarioWire, SimReportsTheClientsRetransmits) {
+  gm::Scenario sc;
+  sc.model = gm::ExecModel::kWire;
+  sc.space = gm::SpaceKind::kChordNet;
+  sc.num_servers = 16;
+  sc.num_balls = 64;
+  sc.window = 4;
+  sc.trials = 1;
+  sc.latency = gn::LatencyModel::constant(60'000.0);
+  const auto r = gm::run(sc);
+  EXPECT_GT(r.wire.retransmits, 0u);
+  EXPECT_EQ(r.wire.retransmits, r.wire.data_retransmits);
+  EXPECT_EQ(r.wire.census_retries, 0u);
+  EXPECT_NE(gm::render_run_summary(r).find("retransmits"), std::string::npos);
+}
+
+// A wire spec's CSV carries the wire block of its JSON, column for field.
+TEST(ScenarioWire, CsvAddsTheWireColumns) {
+  const auto r = gm::run(wire_scenario());
+  const auto header = gm::scenario_csv_header(r.spec);
+  const auto row = gm::scenario_csv_row(r);
+  ASSERT_EQ(header.size(), row.size());
+  const auto column = [&](const std::string& name) -> std::string {
+    for (std::size_t i = 0; i < header.size(); ++i) {
+      if (header[i] == name) return row[i];
+    }
+    ADD_FAILURE() << "no column " << name;
+    return "";
+  };
+  EXPECT_EQ(column("transport"), "sim");
+  EXPECT_EQ(column("latency"), "constant");
+  EXPECT_EQ(column("window"), "4");
+  EXPECT_EQ(column("lookups"), "64");
+  EXPECT_EQ(column("retransmits"), "0");
+  EXPECT_NEAR(std::stod(column("stale_fraction")), r.wire.stale_fraction,
+              1e-6);
+  // The structural columns come first, then one per key of the JSON's
+  // wire block.
+  const auto structural = gm::scenario_csv_header(gm::Scenario{});
+  ASSERT_EQ(header.size() - structural.size(), 15u);
+  EXPECT_TRUE(std::equal(structural.begin(), structural.end(),
+                         header.begin()));
+  const std::string json = gm::scenario_json(r);
+  for (std::size_t i = structural.size(); i < header.size(); ++i) {
+    EXPECT_NE(json.find("\"" + header[i] + "\": "), std::string::npos)
+        << header[i];
+  }
 }
 
 // RunReport::spec reproduces net runs just like structural ones: rerunning
@@ -510,4 +592,23 @@ TEST(ScenarioWire, UdpMaxLoadMatchesTheSimulatorOracle) {
   EXPECT_EQ(real.max_load, oracle.max_load);
   EXPECT_EQ(real.wire.malformed, 0u);
   EXPECT_GT(real.wire.datagrams, 0u);
+  // The client measures the same routes on both transports.
+  EXPECT_DOUBLE_EQ(real.wire.mean_lookup_hops, oracle.wire.mean_lookup_hops);
+  EXPECT_DOUBLE_EQ(real.wire.lookup_hops_p99, oracle.wire.lookup_hops_p99);
+  EXPECT_DOUBLE_EQ(real.wire.probe_hops_per_insert,
+                   oracle.wire.probe_hops_per_insert);
+  // Both count the insert kinds' sends; the cluster's also hold the
+  // closing census, which the simulator stops before: per trial, a probe
+  // per node routed from the client (its send plus at most n - 1
+  // forwards, each to a node not yet visited) and the reply. Resends add
+  // at most d probes or one place, each answered.
+  const double n = static_cast<double>(sc.num_servers);
+  const double trials = static_cast<double>(sc.trials);
+  const double resent = 2.0 * sc.num_choices *
+                        static_cast<double>(real.wire.retransmits);
+  const double extra =
+      (real.wire.links_per_insert - oracle.wire.links_per_insert) *
+      static_cast<double>(sc.num_balls) * trials;
+  EXPECT_GE(extra, 2.0 * n * trials - 1e-9);
+  EXPECT_LE(extra, n * (n + 1.0) * trials + resent + 1e-9);
 }

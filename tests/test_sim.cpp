@@ -99,80 +99,91 @@ TEST(Experiment, SpaceKindRoundTrip) {
   EXPECT_EQ(gm::to_string(gm::SpaceKind::kTorus), "torus");
 }
 
+namespace {
+
+/// The scalar engine, the runner these Experiment tests were written for.
+gm::Scenario scalar() {
+  gm::Scenario sc;
+  sc.engine = gm::Engine::kScalar;
+  return sc;
+}
+
+}  // namespace
+
 TEST(Experiment, BallsDefaultsToServers) {
-  gm::ExperimentConfig cfg;
-  cfg.num_servers = 100;
-  EXPECT_EQ(cfg.balls(), 100u);
-  cfg.num_balls = 10;
-  EXPECT_EQ(cfg.balls(), 10u);
+  gm::Scenario sc;
+  sc.num_servers = 100;
+  EXPECT_EQ(sc.balls(), 100u);
+  sc.num_balls = 10;
+  EXPECT_EQ(sc.balls(), 10u);
 }
 
 TEST(Experiment, ZeroTrialsRejected) {
-  gm::ExperimentConfig cfg;
-  cfg.trials = 0;
-  EXPECT_THROW((void)gm::run_max_load_experiment(cfg), std::invalid_argument);
+  auto sc = scalar();
+  sc.trials = 0;
+  EXPECT_THROW((void)gm::run(sc), std::invalid_argument);
 }
 
 TEST(Experiment, DeterministicAcrossThreadCounts) {
-  gm::ExperimentConfig cfg;
-  cfg.space = gm::SpaceKind::kRing;
-  cfg.num_servers = 256;
-  cfg.trials = 40;
-  cfg.seed = 7;
-  cfg.threads = 1;
-  const auto h1 = gm::run_max_load_experiment(cfg);
-  cfg.threads = 4;
-  const auto h4 = gm::run_max_load_experiment(cfg);
+  auto sc = scalar();
+  sc.space = gm::SpaceKind::kRing;
+  sc.num_servers = 256;
+  sc.trials = 40;
+  sc.seed = 7;
+  sc.threads = 1;
+  const auto h1 = gm::run(sc).max_load;
+  sc.threads = 4;
+  const auto h4 = gm::run(sc).max_load;
   EXPECT_EQ(h1, h4);
 }
 
 TEST(Experiment, SeedChangesDistributionSamples) {
-  gm::ExperimentConfig a;
+  auto a = scalar();
   a.num_servers = 256;
   a.trials = 20;
   a.seed = 1;
-  gm::ExperimentConfig b = a;
+  auto b = a;
   b.seed = 2;
   // Same shape but (almost surely) not identical histograms.
-  EXPECT_NE(gm::run_max_load_experiment(a), gm::run_max_load_experiment(b));
+  EXPECT_NE(gm::run(a).max_load, gm::run(b).max_load);
 }
 
 TEST(Experiment, UniformTwoChoiceMatchesKnownScale) {
-  gm::ExperimentConfig cfg;
-  cfg.space = gm::SpaceKind::kUniform;
-  cfg.num_servers = 1 << 12;
-  cfg.trials = 30;
-  const auto h = gm::run_max_load_experiment(cfg);
+  auto sc = scalar();
+  sc.space = gm::SpaceKind::kUniform;
+  sc.num_servers = 1 << 12;
+  sc.trials = 30;
+  const auto h = gm::run(sc).max_load;
   // Classic result: max load = log2 log n + Theta(1) ~ 3-4 at n = 4096.
   EXPECT_GE(h.min_value(), 2u);
   EXPECT_LE(h.max_value(), 6u);
 }
 
 TEST(Experiment, MeanMaxLoadAgreesWithHistogram) {
-  gm::ExperimentConfig cfg;
-  cfg.num_servers = 128;
-  cfg.trials = 25;
-  EXPECT_NEAR(gm::mean_max_load(cfg),
-              gm::run_max_load_experiment(cfg).mean(), 1e-12);
+  auto sc = scalar();
+  sc.num_servers = 128;
+  sc.trials = 25;
+  EXPECT_NEAR(gm::run(sc).mean_max_load(), gm::run(sc).max_load.mean(),
+              1e-12);
 }
 
 TEST(Experiment, TorusExperimentRuns) {
-  gm::ExperimentConfig cfg;
-  cfg.space = gm::SpaceKind::kTorus;
-  cfg.num_servers = 256;
-  cfg.trials = 10;
-  const auto h = gm::run_max_load_experiment(cfg);
+  auto sc = scalar();
+  sc.space = gm::SpaceKind::kTorus;
+  sc.num_servers = 256;
+  sc.trials = 10;
+  const auto h = gm::run(sc).max_load;
   EXPECT_EQ(h.total(), 10u);
   EXPECT_GE(h.min_value(), 2u);
   EXPECT_LE(h.max_value(), 7u);
 }
 
 TEST(Experiment, SmallerRegionTieOnTorusRuns) {
-  gm::ExperimentConfig cfg;
-  cfg.space = gm::SpaceKind::kTorus;
-  cfg.num_servers = 128;
-  cfg.trials = 5;
-  cfg.tie = gc::TieBreak::kSmallerRegion;
-  const auto h = gm::run_max_load_experiment(cfg);
+  auto sc = scalar();
+  sc.space = gm::SpaceKind::kTorus;
+  sc.num_servers = 128;
+  sc.trials = 5;
+  sc.tie = gc::TieBreak::kSmallerRegion;
+  const auto h = gm::run(sc).max_load;
   EXPECT_EQ(h.total(), 5u);
 }

@@ -146,7 +146,7 @@ TEST(UdpCluster, CensusLoadsAccountForEveryInsert) {
   EXPECT_EQ(placed, ccfg.driver.inserts);  // at-most-once held
   EXPECT_EQ(real.report.lookups, ccfg.driver.lookups);
   EXPECT_EQ(real.report.insert_latency_us_q.count(), ccfg.driver.inserts);
-  EXPECT_GT(real.datagrams, 0u);
+  EXPECT_GT(real.links.total, 0u);
 }
 
 TEST(UdpCluster, StoreReadsServeTheSameValuesAsTheSimulator) {
@@ -262,7 +262,8 @@ TEST(UdpCluster, Window32ServesEveryOp) {
   EXPECT_EQ(real.report.get_misses, 0u);
   EXPECT_EQ(real.keys_stored, ccfg.driver.inserts);
   EXPECT_EQ(real.malformed, 0u);
-  const std::uint64_t frames_written = real.datagrams - real.self_delivered;
+  const std::uint64_t frames_written =
+      real.links.total - real.self_delivered;
   EXPECT_GT(real.self_delivered, 0u);
   EXPECT_LT(real.send_calls, frames_written);  // bundles were written
   EXPECT_LT(real.recv_calls, real.datagrams_in);  // ... and read whole
