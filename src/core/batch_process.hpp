@@ -9,8 +9,8 @@
 //                locations in one tight RNG loop (rng/block_sampler.hpp);
 //   2. resolve — map the whole buffer to owning bins with the space's bulk
 //                lookup (a branch-free count inside the query's bucket of
-//                the ring's directory, branch-free 3x3 padded-row grid scan
-//                on the torus);
+//                the ring's directory, a 3x3 padded-row grid scan on the
+//                torus, vectorized on CPUs with AVX-512);
 //   3. place   — walk the resolved bins sequentially with the exact scalar
 //                tie-break semantics, prefetching upcoming load slots.
 //
@@ -198,21 +198,6 @@ template <spaces::GeometricSpace S>
         }
       });
   return results;
-}
-
-/// Convenience: per-trial max loads from the batched engine (the quantity
-/// the paper's tables tabulate).
-template <spaces::GeometricSpace S>
-[[nodiscard]] std::vector<std::uint32_t> batch_max_loads(
-    const S& space, const ProcessOptions& opt, std::uint64_t trials,
-    std::uint64_t master_seed, std::size_t threads = 0,
-    const BatchOptions& batch = {}) {
-  const auto runs = run_batch_trials(space, opt, trials, master_seed, threads,
-                                     batch);
-  std::vector<std::uint32_t> maxima(runs.size());
-  std::transform(runs.begin(), runs.end(), maxima.begin(),
-                 [](const ProcessResult& r) { return r.max_load; });
-  return maxima;
 }
 
 // The canonical spaces are instantiated once in batch_process.cpp; other

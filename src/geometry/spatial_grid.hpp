@@ -53,10 +53,47 @@ class SpatialGrid {
   [[nodiscard]] double nearest_dist2(Vec2 q) const noexcept;
 
   /// Batched nearest-site resolution: `out[i] = nearest(qs[i])` for every
-  /// query, resolved in arrival order (see nearest_scan for the kernel).
-  /// Requires qs.size() == out.size(). Queries must lie in [0,1)^2 (the
-  /// process engines' domain); others are wrapped first.
+  /// query, resolved in arrival order. Requires qs.size() == out.size().
+  /// Queries should lie in [0,1)^2 (the process engines' domain); one
+  /// compare per query sends any other through wrap01 first.
+  ///
+  /// Each query scans the 3x3 block of buckets around its own (three
+  /// padded-row ranges, see the class comment) into a (d², lowest index)
+  /// minimum, then walks ring 2 and further out only while a site outside
+  /// the scanned rings could still be as near as the best one. That exit
+  /// bound is exact: a site outside the (2r - 1)^2 block lies at least
+  /// (r - 1 + min(fx, 1 - fx, fy, 1 - fy)) bucket widths from q, where
+  /// (fx, fy) is q's fractional position in its bucket. It is shaved by a
+  /// relative k * 2^-48 (2^-40 at n = 2^16): a site's bucket comes from
+  /// its rounded x * k, which can move a bucket edge by up to ~k * 2^-52
+  /// buckets, and the bound must never exceed a true distance. For k <= 3
+  /// the block is the whole torus and no ring is walked.
+  ///
+  /// Two kernels do the block scan. kAvx512 loads each of the three ranges
+  /// as one masked 8-lane vector of x, y and site index, and reduces the 24
+  /// lanes to the minimum d² and the lowest site index among the lanes at
+  /// it; a range
+  /// of more than 8 entries (0.37% of rows, 1.1% of queries at n = 2^16)
+  /// takes the scalar loop. kScalar walks the three ranges as one
+  /// branch-free sequence. Both compute d² with nearest()'s operations
+  /// (sub, abs, min(a, 1 - a), square, add), and spatial_grid.cpp is built
+  /// with -ffp-contract=off: GCC would otherwise fuse the square and add
+  /// into an FMA under the AVX-512 target, intrinsics included, and the
+  /// batched engine would no longer be bit-identical to run_process.
+  /// batch_kernel() picks the kernel once per process from the CPU.
   void nearest_batch(std::span<const Vec2> qs,
+                     std::span<std::uint32_t> out) const;
+
+  enum class Kernel : std::uint8_t { kScalar, kAvx512 };
+
+  /// The kernel nearest_batch runs: kAvx512 on CPUs with AVX-512 F, VL and
+  /// DQ, else kScalar.
+  [[nodiscard]] static Kernel batch_kernel() noexcept;
+
+  /// nearest_batch through a named kernel, so tests can compare both on
+  /// one host. Throws std::invalid_argument for kAvx512 when
+  /// batch_kernel() is kScalar.
+  void nearest_batch(Kernel kernel, std::span<const Vec2> qs,
                      std::span<std::uint32_t> out) const;
 
   /// Invoke `fn(site_index, dist2)` for every site within torus distance
@@ -106,23 +143,8 @@ class SpatialGrid {
   [[nodiscard]] std::uint32_t bucket_of(double coord) const noexcept;
   [[nodiscard]] std::uint32_t ring_cover(double radius) const noexcept;
 
-  /// The 3x3 block of buckets around q's bucket (rings 0 and 1) as three
-  /// padded-row ranges: for rows by-1, by, by+1, row[j] points at the
-  /// offsets of padded columns bx..bx+3, so [row[j][0], row[j][3]) holds
-  /// bucket columns bx-1, bx, bx+1, wrap included.
-  struct Block {
-    const std::uint32_t* row[3];
-  };
-  [[nodiscard]] Block block_of(Vec2 q) const noexcept;
-
-  /// The batch kernel: the same ring walk, pruning and (d², lowest index)
-  /// rule as nearest(), with no data-dependent branch inside q's 3x3
-  /// `block`. The block's three ranges are scanned in one loop that keeps
-  /// the minimum of a (d² bits, index) key; rings >= 2 are scanned bucket
-  /// by bucket into the same key. Bit-identical to nearest() for queries
-  /// in [0,1)^2.
-  [[nodiscard]] std::uint32_t nearest_scan(Vec2 q,
-                                           const Block& block) const noexcept;
+  /// The batch kernels and the code they share (spatial_grid.cpp).
+  struct Kernels;
 
   /// First entry of the padded bucket at padded column `pc` (bucket column
   /// pc - 1, wrapped) of row `row`; the bucket ends where pc + 1 starts.

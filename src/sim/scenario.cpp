@@ -757,9 +757,19 @@ struct WireField {
       {"window", u(sc.window)},
       {"lookups", u(sc.lookups)},
       {"links_per_insert", format_double(w.links_per_insert)},
+      {"probe_hops_per_insert", format_double(w.probe_hops_per_insert)},
       {"stale_fraction", format_double(w.stale_fraction)},
+      {"insert_latency_p50", format_double(w.insert_latency_p50)},
+      {"insert_latency_p90", format_double(w.insert_latency_p90)},
       {"insert_latency_p99", format_double(w.insert_latency_p99)},
+      {"mean_lookup_hops", format_double(w.mean_lookup_hops)},
+      {"lookup_hops_p50", format_double(w.lookup_hops_p50)},
+      {"lookup_hops_p90", format_double(w.lookup_hops_p90)},
       {"lookup_hops_p99", format_double(w.lookup_hops_p99)},
+      {"lookup_latency_p50", format_double(w.lookup_latency_p50)},
+      {"lookup_latency_p90", format_double(w.lookup_latency_p90)},
+      {"lookup_latency_p99", format_double(w.lookup_latency_p99)},
+      {"mean_end_time", format_double(w.mean_end_time)},
       {"datagrams", u(w.datagrams)},
       {"malformed", u(w.malformed)},
       {"retransmits", u(w.retransmits)},

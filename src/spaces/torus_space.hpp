@@ -49,8 +49,9 @@ class TorusSpace {
     return grid_.nearest(p);
   }
 
-  /// Bulk owner lookup through the grid's branch-free batch kernel
-  /// (SpatialGrid::nearest_batch); result i equals owner(ps[i]).
+  /// Bulk owner lookup through SpatialGrid::nearest_batch, which runs its
+  /// AVX-512 kernel on CPUs that have it and its scalar one elsewhere;
+  /// result i equals owner(ps[i]) bit for bit on either.
   void owner_batch(std::span<const Location> ps,
                    std::span<BinIndex> out) const {
     grid_.nearest_batch(ps, out);

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -373,23 +374,18 @@ TEST(SortRingPositions, RejectsEmptyOutOfRangeAndNaN) {
   }
 }
 
-TEST(NearestBatch, MatchesScalarNearest) {
-  // Every batch result must equal nearest() and the brute-force reference
-  // by index, ties included (the lowest index wins).
-  auto expect_matches = [](const std::vector<gg::Vec2>& sites,
-                           std::uint32_t buckets_per_axis,
-                           const std::vector<gg::Vec2>& qs, const char* what) {
-    const gg::SpatialGrid grid(sites, buckets_per_axis);
-    std::vector<std::uint32_t> got(qs.size());
-    grid.nearest_batch(qs, got);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      const std::uint32_t want = gg::brute_force_nearest(sites, qs[i]);
-      EXPECT_EQ(got[i], want) << what << " n=" << sites.size()
-                              << " k=" << grid.buckets_per_axis()
-                              << " q=(" << qs[i].x << ", " << qs[i].y << ")";
-      EXPECT_EQ(grid.nearest(qs[i]), want) << what << " i=" << i;
-    }
-  };
+namespace {
+
+struct NearestCase {
+  std::vector<gg::Vec2> sites;
+  std::uint32_t buckets_per_axis;  // 0: the grid's default
+  std::vector<gg::Vec2> qs;
+  const char* what;
+};
+
+// Every input the nearest_batch kernels are checked on.
+std::vector<NearestCase> nearest_cases() {
+  std::vector<NearestCase> cases;
   gr::DefaultEngine gen(16);
   auto uniform = [&](std::size_t count) {
     std::vector<gg::Vec2> pts(count);
@@ -409,7 +405,7 @@ TEST(NearestBatch, MatchesScalarNearest) {
   };
 
   for (const std::size_t n : {1u, 5u, 64u, 500u}) {
-    expect_matches(uniform(n), 0, with_seams(uniform(257)), "uniform");
+    cases.push_back({uniform(n), 0, with_seams(uniform(257)), "uniform"});
   }
 
   // Exact duplicates, some on the seams: every distance ties its copy.
@@ -424,20 +420,123 @@ TEST(NearestBatch, MatchesScalarNearest) {
   dup.push_back({below_one, 0.25});
   auto dup_qs = with_seams(uniform(257));
   dup_qs.insert(dup_qs.end(), dup.begin(), dup.end());
-  expect_matches(dup, 0, dup_qs, "duplicates");
+  cases.push_back({dup, 0, dup_qs, "duplicates"});
 
-  // k = 1 and k = 3: the 3x3 block wraps onto itself.
-  for (const std::uint32_t k : {1u, 3u}) {
-    expect_matches(uniform(50), k, with_seams(uniform(257)), "explicit k");
+  // k = 1 and k = 3: the 3x3 block wraps onto itself. k = 5 is the
+  // smallest grid with a ring 2.
+  for (const std::uint32_t k : {1u, 3u, 5u}) {
+    cases.push_back({uniform(50), k, with_seams(uniform(257)), "explicit k"});
   }
+  cases.push_back({uniform(12), 5, with_seams(uniform(257)), "k = 5, sparse"});
+
+  // Rows of more than 8 entries, alone (k = 5) and mixed with shorter ones
+  // (~7 per row at k = 9), which the vector kernel scans in scalar.
+  cases.push_back({uniform(500), 5, with_seams(uniform(257)), "long rows"});
+  cases.push_back({uniform(200), 9, with_seams(uniform(257)), "mixed rows"});
 
   // All sites in one corner: most queries need rings >= 2.
   std::vector<gg::Vec2> clustered(500);
   for (auto& s : clustered) {
     s = {0.05 * gr::uniform01(gen), 0.05 * gr::uniform01(gen)};
   }
-  expect_matches(clustered, 0, with_seams(uniform(257)), "clustered");
+  cases.push_back({clustered, 0, with_seams(uniform(257)), "clustered"});
+
+  // A site just outside q's 3x3 block, exactly on q's exit bound, ties the
+  // block's best and has the lower index, so it must win. At k = 5, q in
+  // bucket (2, 2) at fractional position (3/4, 1/2) reaches a quarter
+  // bucket past its bucket's edge before leaving the block at x = 0.8,
+  // where bucket column 4 begins (0.8 * 5 rounds to 4). A sits as far
+  // away inside the block; all three differences are exact. Also mirrored
+  // in y, and with the order of the sites swapped.
+  {
+    const double edge = 0.8;
+    const double mid = edge - 0.25;  // q's coordinate
+    const double in = edge - 0.5;    // A's coordinate, in bucket 1
+    cases.push_back({{{edge, 0.5}, {in, 0.5}, {in, 0.5}}, 5, {{mid, 0.5}},
+                     "tie on the exit bound in x"});
+    cases.push_back({{{0.5, edge}, {0.5, in}, {0.5, in}}, 5, {{0.5, mid}},
+                     "tie on the exit bound in y"});
+    cases.push_back({{{in, 0.5}, {in, 0.5}, {edge, 0.5}}, 5, {{mid, 0.5}},
+                     "tie on the exit bound, in-block site first"});
+  }
+
+  // Four sites in four buckets of q's block, all 1/8 from q; the highest
+  // indices sit in the rows and columns the block scan reaches first.
+  cases.push_back({{{0.5, 0.625}, {0.625, 0.5}, {0.375, 0.5}, {0.5, 0.375}},
+                   5,
+                   {{0.5, 0.5}},
+                   "ties across the block, highest index scanned first"});
+
+  // Queries outside [0,1)^2 are wrapped first.
+  {
+    std::vector<gg::Vec2> outside = {
+        {-0.25, 0.5}, {1.25, -3.75}, {2.0, -1.0}, {-1e-300, 0.3},
+        {1.0, 1.0},   {1.0, 0.5},    {0.5, 1.0},  {-0.0, 0.7},
+        {0.3, 7.5},   {-2.5, -0.5}};
+    for (const gg::Vec2 q : uniform(64)) {
+      outside.push_back({q.x + 3.0, q.y - 2.0});
+      outside.push_back({q.x - 1.0, q.y});
+    }
+    cases.push_back({uniform(300), 0, outside, "queries outside [0,1)^2"});
+  }
 
   // One call with >= buckets/8 queries over a grid bigger than 256 KiB.
-  expect_matches(uniform(12000), 0, uniform(2048), "large call");
+  cases.push_back({uniform(12000), 0, uniform(2048), "large call"});
+  return cases;
+}
+
+// Every result of `kernel` must equal nearest() and the brute-force
+// reference on the wrapped query by index, ties included (the lowest index
+// wins).
+void expect_kernel_matches(gg::SpatialGrid::Kernel kernel) {
+  for (const NearestCase& c : nearest_cases()) {
+    const gg::SpatialGrid grid(c.sites, c.buckets_per_axis);
+    std::vector<std::uint32_t> got(c.qs.size());
+    grid.nearest_batch(kernel, c.qs, got);
+    for (std::size_t i = 0; i < c.qs.size(); ++i) {
+      const gg::Vec2 q = gg::wrap01(c.qs[i]);
+      const std::uint32_t want = gg::brute_force_nearest(c.sites, q);
+      EXPECT_EQ(got[i], want) << c.what << " n=" << c.sites.size()
+                              << " k=" << grid.buckets_per_axis() << " q=("
+                              << c.qs[i].x << ", " << c.qs[i].y << ")";
+      EXPECT_EQ(grid.nearest(q), want) << c.what << " i=" << i;
+    }
+  }
+}
+
+const char* kernel_name(gg::SpatialGrid::Kernel kernel) {
+  return kernel == gg::SpatialGrid::Kernel::kAvx512 ? "avx512" : "scalar";
+}
+
+}  // namespace
+
+// The scalar kernel runs on every CPU. nearest_batch itself runs whichever
+// kernel the CPU selects; the other test covers the vector one.
+TEST(NearestBatch, MatchesScalarNearest) {
+  std::printf("nearest_batch runs the %s kernel on this CPU\n",
+              kernel_name(gg::SpatialGrid::batch_kernel()));
+  expect_kernel_matches(gg::SpatialGrid::Kernel::kScalar);
+  for (const NearestCase& c : nearest_cases()) {
+    const gg::SpatialGrid grid(c.sites, c.buckets_per_axis);
+    std::vector<std::uint32_t> dispatched(c.qs.size());
+    std::vector<std::uint32_t> scalar(c.qs.size());
+    grid.nearest_batch(c.qs, dispatched);
+    grid.nearest_batch(gg::SpatialGrid::Kernel::kScalar, c.qs, scalar);
+    EXPECT_EQ(dispatched, scalar) << c.what;
+  }
+}
+
+TEST(NearestBatch, Avx512KernelMatchesScalarNearest) {
+  if (gg::SpatialGrid::batch_kernel() != gg::SpatialGrid::Kernel::kAvx512) {
+    const gg::SpatialGrid grid(std::vector<gg::Vec2>{{0.5, 0.5}});
+    const std::vector<gg::Vec2> qs = {{0.25, 0.25}};
+    std::vector<std::uint32_t> out(1);
+    EXPECT_THROW(
+        grid.nearest_batch(gg::SpatialGrid::Kernel::kAvx512, qs, out),
+        std::invalid_argument);
+    GTEST_SKIP() << "this CPU lacks AVX-512 F/VL/DQ: only the scalar "
+                    "kernel ran";
+  }
+  std::printf("checking the avx512 kernel\n");
+  expect_kernel_matches(gg::SpatialGrid::Kernel::kAvx512);
 }

@@ -431,16 +431,36 @@ TEST(ScenarioWire, CsvAddsTheWireColumns) {
   EXPECT_EQ(column("retransmits"), "0");
   EXPECT_NEAR(std::stod(column("stale_fraction")), r.wire.stale_fraction,
               1e-6);
+  // Every field both transports fill has a column (six significant
+  // digits), the hop and p50 ones included.
+  const auto expect_column = [&](const std::string& name, double want) {
+    EXPECT_GT(want, 0.0) << name;
+    EXPECT_NEAR(std::stod(column(name)), want, 1e-5 * want) << name;
+  };
+  expect_column("probe_hops_per_insert", r.wire.probe_hops_per_insert);
+  expect_column("insert_latency_p50", r.wire.insert_latency_p50);
+  expect_column("insert_latency_p90", r.wire.insert_latency_p90);
+  expect_column("mean_lookup_hops", r.wire.mean_lookup_hops);
+  expect_column("lookup_hops_p50", r.wire.lookup_hops_p50);
+  expect_column("lookup_hops_p90", r.wire.lookup_hops_p90);
+  expect_column("lookup_latency_p50", r.wire.lookup_latency_p50);
+  expect_column("lookup_latency_p90", r.wire.lookup_latency_p90);
+  expect_column("lookup_latency_p99", r.wire.lookup_latency_p99);
+  expect_column("mean_end_time", r.wire.mean_end_time);
   // The structural columns come first, then one per key of the JSON's
   // wire block.
   const auto structural = gm::scenario_csv_header(gm::Scenario{});
-  ASSERT_EQ(header.size() - structural.size(), 15u);
+  ASSERT_EQ(header.size() - structural.size(), 25u);
   EXPECT_TRUE(std::equal(structural.begin(), structural.end(),
                          header.begin()));
+  // The JSON's wire block holds the same value under the same name, quoted
+  // for the text fields.
   const std::string json = gm::scenario_json(r);
   for (std::size_t i = structural.size(); i < header.size(); ++i) {
-    EXPECT_NE(json.find("\"" + header[i] + "\": "), std::string::npos)
-        << header[i];
+    const std::string key = "\"" + header[i] + "\": ";
+    EXPECT_TRUE(json.find(key + row[i]) != std::string::npos ||
+                json.find(key + "\"" + row[i] + "\"") != std::string::npos)
+        << header[i] << " = " << row[i];
   }
 }
 
