@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   cfg.choices = 2;
   cfg.window = 16;
   cfg.latency = gn::LatencyModel::constant(1.0);
-  const auto ring = gn::NetSimulator::make_ring(cfg);
+  const auto ring = gn::make_ring(cfg.nodes, cfg.seed, cfg.trial);
 
   std::vector<gb::Measurement> ms;
 
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     gn::NetSimulator sim(ring, cfg);
     const auto r = sim.run();
     events = r.events;
-    if (r.max_load == 0) std::abort();
+    if (r.client.max_load == 0) std::abort();
   }));
   const double inserts_per_sec = ms.back().items_per_sec;
   const double events_per_sec =
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   // median rejects outlier pairs.
   const auto wire_once = [&] {
     gn::NetSimulator sim(ring, cfg);
-    if (sim.run().max_load == 0) std::abort();
+    if (sim.run().client.max_load == 0) std::abort();
   };
   constexpr int kObsPairs = 15;
   constexpr int kObsReps = 3;  // per side of a pair, median taken

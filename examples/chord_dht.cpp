@@ -102,17 +102,18 @@ int main() {
     cfg.latency = geochoice::net::LatencyModel::lognormal(0.0, 0.5);
     cfg.lookups = 4096;
     const auto m = geochoice::net::NetSimulator::simulate(cfg);
+    const auto& c = m.client;
     std::printf(
         "\nover the wire (lognormal link latency, window 16):\n"
         "   max keys/server: %u   lookup hops p50/p99: %.0f/%.0f   "
         "lookup latency p99: %.1f\n"
         "   wire cost: %.1f probe hops/insert; stale load reads: %.1f%% "
         "of placements\n",
-        m.max_load, m.lookup_hops_q.value(0), m.lookup_hops_q.value(2),
-        m.lookup_latency_q.value(2),
-        static_cast<double>(m.probe_hops) / static_cast<double>(m.inserts),
-        100.0 * static_cast<double>(m.stale_reads) /
-            static_cast<double>(m.inserts));
+        c.max_load, c.lookup_hops_q.value(0), c.lookup_hops_q.value(2),
+        c.lookup_latency_us_q.value(2),
+        static_cast<double>(c.probe_hops) / static_cast<double>(c.inserts),
+        100.0 * static_cast<double>(m.nodes.stale_reads) /
+            static_cast<double>(c.inserts));
   }
 
   std::printf(

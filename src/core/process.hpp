@@ -143,12 +143,4 @@ template <spaces::GeometricSpace S>
   return result;
 }
 
-/// Convenience: run the process and return only the maximum load.
-template <spaces::GeometricSpace S>
-[[nodiscard]] std::uint32_t max_load_of_run(const S& space,
-                                            const ProcessOptions& opt,
-                                            rng::DefaultEngine& gen) {
-  return run_process(space, opt, gen).max_load;
-}
-
 }  // namespace geochoice::core

@@ -276,19 +276,6 @@ template <ShardableSpace S>
   return results;
 }
 
-/// Convenience: per-trial max loads from the sharded engine.
-template <ShardableSpace S>
-[[nodiscard]] std::vector<std::uint32_t> sharded_max_loads(
-    const S& space, const ProcessOptions& opt, std::uint64_t trials,
-    std::uint64_t master_seed, const ShardedOptions& sharded = {}) {
-  const auto runs =
-      run_sharded_trials(space, opt, trials, master_seed, sharded);
-  std::vector<std::uint32_t> maxima(runs.size());
-  std::transform(runs.begin(), runs.end(), maxima.begin(),
-                 [](const ProcessResult& r) { return r.max_load; });
-  return maxima;
-}
-
 // The canonical spaces are instantiated once in sharded_process.cpp.
 extern template ProcessResult run_sharded_process<spaces::RingSpace>(
     const spaces::RingSpace&, const ProcessOptions&, rng::DefaultEngine&,

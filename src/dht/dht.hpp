@@ -5,4 +5,3 @@
 #include "dht/churn.hpp"            // IWYU pragma: export
 #include "dht/two_choice_dht.hpp"   // IWYU pragma: export
 #include "dht/virtual_servers.hpp"  // IWYU pragma: export
-#include "dht/workload.hpp"         // IWYU pragma: export

@@ -4,21 +4,15 @@
 #include <stdexcept>
 #include <vector>
 
-#include "net/protocol.hpp"
 #include "net/udp_transport.hpp"
-#include "rng/streams.hpp"
 
 namespace geochoice::net {
 
-ClusterResult run_loopback_cluster(const ClusterConfig& cfg) {
+WireResult run_loopback_cluster(const ClusterConfig& cfg) {
   if (cfg.nodes < 1) {
     throw std::invalid_argument("run_loopback_cluster: nodes must be >= 1");
   }
-  // The same ring every world derives: NetSimulator::make_ring's recipe.
-  auto gen = rng::make_stream(cfg.driver.seed, cfg.driver.trial,
-                              rng::StreamPurpose::kServerPlacement);
-  auto ring = dht::ChordRing::random(cfg.nodes, gen);
-  ring.build_fingers();
+  const auto ring = make_ring(cfg.nodes, cfg.driver.seed, cfg.driver.trial);
 
   // Phase 1: bind everyone on ephemeral ports, then exchange the table.
   std::vector<std::unique_ptr<UdpTransport>> transports;
@@ -36,57 +30,32 @@ ClusterResult run_loopback_cluster(const ClusterConfig& cfg) {
 
   // Every node shares the driver's recorder: the pump is single-threaded,
   // so one ring buffer can hold the whole cluster's lifecycle stream.
-  std::vector<NodeLogic<UdpTransport>> nodes;
-  nodes.reserve(cfg.nodes);
-  for (std::size_t i = 0; i < cfg.nodes; ++i) {
-    nodes.emplace_back(ring, static_cast<std::uint32_t>(i), *transports[i],
-                       cfg.driver.trace);
+  std::vector<NodeHost<UdpTransport>> hosts;
+  hosts.reserve(cfg.nodes);
+  hosts.emplace_back(ring, 0, *transports[0], cfg.driver);
+  for (std::uint32_t i = 1; i < cfg.nodes; ++i) {
+    hosts.emplace_back(ring, i, *transports[i], cfg.driver.trace);
   }
-  ClientDriver<UdpTransport> driver(ring, cfg.driver, *transports[0]);
+  ClientDriver<UdpTransport>& client = *hosts[0].client();
 
-  // Phase 2: pump every transport from this one thread until the driver
-  // has its census. Node 0's poll blocks briefly so an idle cluster
-  // waits in poll(2) instead of spinning.
-  driver.start();
+  // Phase 2: poll every host from this one thread until the client has
+  // its census. Node 0's poll blocks briefly so an idle cluster waits in
+  // poll(2) instead of spinning.
+  client.start();
   UdpTransport& clock = *transports[0];
-  while (!driver.done()) {
+  while (!client.done()) {
     if (clock.now_ms() > cfg.timeout_ms) {
       throw std::runtime_error(
           "run_loopback_cluster: workload did not complete within timeout");
     }
-    for (std::size_t i = 0; i < cfg.nodes; ++i) {
-      auto on_message = [&, i](const Message& m) {
-        if (protocol::is_request(m.type)) {
-          nodes[i].on_message(m);
-        } else if (i == 0) {
-          driver.on_reply(m);
-        }
-      };
-      auto on_timer = [&, i](const Message& t) {
-        if (i == 0) driver.on_timer(t);
-      };
-      transports[i]->poll(i == 0 ? 1 : 0, on_message, on_timer);
-    }
+    for (std::size_t i = 0; i < cfg.nodes; ++i) hosts[i].poll(i == 0 ? 1 : 0);
   }
 
-  ClusterResult result;
-  result.report = driver.report();
-  for (const auto& t : transports) {
-    result.links.total += t->links().total;
-    for (std::size_t k = 0; k < result.links.by_type.size(); ++k) {
-      result.links.by_type[k] += t->links().by_type[k];
-    }
-    result.malformed += t->malformed();
-    result.send_calls += t->send_calls();
-    result.self_delivered += t->self_delivered();
-    result.recv_calls += t->recv_calls();
-    result.datagrams_in += t->datagrams_in();
-  }
-  for (const auto& n : nodes) {
-    result.stale_reads += n.stale_reads();
-    result.keys_stored += n.keys_stored();
-  }
-  result.elapsed_us = clock.now_us();
+  WireResult result;
+  result.client = client.report();
+  for (const auto& h : hosts) result.nodes += h.stats();
+  result.end_us = static_cast<double>(clock.now_us());
+  publish(result);
   return result;
 }
 

@@ -1,8 +1,9 @@
 // node.hpp — one node's protocol logic, written against the Transport
-// seam: the one implementation of the protocol. NetSimulator runs a
-// NodeLogic per ring node and a ClientDriver on node 0 over SimTransport;
-// run_loopback_cluster, dht_node and perfbench's serve run the same
-// templates over UdpTransport, the client again on node 0.
+// seam: the one implementation of the protocol. NetSimulator,
+// run_loopback_cluster and dht_node host it in a NodeHost (host.hpp): a
+// NodeLogic per ring node and the ClientDriver on node 0, over
+// SimTransport in the simulator and UdpTransport on sockets. perfbench's
+// serve runs the same templates over UdpTransport with its own pump.
 //
 //   * NodeLogic: the server half. Routes probes/lookups one Chord hop
 //     (ring.next_hop), answers the ones it owns, applies placements, and
@@ -181,8 +182,8 @@ class NodeLogic {
   std::unique_ptr<store::HashStore> store_;
 };
 
-/// What a finished run hands back: the client's view of the workload.
-/// NetSimulator builds its NetMetrics from it.
+/// The client's view of a finished run, the `client` half of the
+/// WireResult (host.hpp) both worlds return.
 struct DriverReport {
   /// Owner node of insert op i — the differential-test surface.
   std::vector<std::uint32_t> placements;

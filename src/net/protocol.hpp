@@ -33,9 +33,9 @@ namespace geochoice::net::protocol {
 /// otherwise-unused probe index 0xff; insert probes use 0 .. d-1 < 16.
 inline constexpr std::uint8_t kCensusProbe = 0xff;
 
-/// The request/reply split every pump dispatches on: requests go to the
-/// addressed node's NodeLogic, replies and acks to the ClientDriver that
-/// issued the op.
+/// The request/reply split NodeHost::deliver (host.hpp) dispatches on:
+/// requests go to the addressed node's NodeLogic, replies and acks to the
+/// ClientDriver that issued the op.
 [[nodiscard]] constexpr bool is_request(MsgType t) noexcept {
   return t == MsgType::kProbe || t == MsgType::kPlace ||
          t == MsgType::kLookup || t == MsgType::kPut || t == MsgType::kGet;

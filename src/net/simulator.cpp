@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "net/protocol.hpp"
-#include "obs/registry.hpp"
 #include "rng/streams.hpp"
 
 namespace geochoice::net {
@@ -44,16 +43,8 @@ DriverConfig driver_config(const NetConfig& cfg) {
 
 }  // namespace
 
-dht::ChordRing NetSimulator::make_ring(const NetConfig& cfg) {
-  auto gen = rng::make_stream(cfg.seed, cfg.trial,
-                              rng::StreamPurpose::kServerPlacement);
-  auto ring = dht::ChordRing::random(cfg.nodes, gen);
-  ring.build_fingers();
-  return ring;
-}
-
-NetMetrics NetSimulator::simulate(const NetConfig& cfg) {
-  const auto ring = make_ring(cfg);
+WireResult NetSimulator::simulate(const NetConfig& cfg) {
+  const auto ring = make_ring(cfg.nodes, cfg.seed, cfg.trial);
   NetSimulator sim(ring, cfg);
   return sim.run();
 }
@@ -65,29 +56,28 @@ NetSimulator::NetSimulator(const dht::ChordRing& ring, const NetConfig& cfg)
            rng::make_stream(cfg.seed, cfg.trial,
                             rng::StreamPurpose::kNetLatency),
            queue_width_hint(cfg)),
-      ports_(make_ports(net_, ring.node_count())),
-      driver_(ring, driver_config(cfg), ports_[0]) {
+      ports_(make_ports(net_, ring.node_count())) {
   if (!ring.has_fingers()) {
     throw std::invalid_argument(
         "NetSimulator: ring needs build_fingers() for message routing");
   }
   cfg.latency.validate();
-  nodes_.reserve(ring.node_count());
-  for (std::size_t i = 0; i < ring.node_count(); ++i) {
-    nodes_.emplace_back(ring, static_cast<std::uint32_t>(i), ports_[i],
-                        cfg.trace);
+  hosts_.reserve(ring.node_count());
+  hosts_.emplace_back(ring, 0, ports_[0], driver_config(cfg));
+  for (std::uint32_t i = 1; i < ring.node_count(); ++i) {
+    hosts_.emplace_back(ring, i, ports_[i], cfg.trace);
   }
+  client_ = hosts_[0].client();
 }
 
-NetMetrics NetSimulator::run() {
+WireResult NetSimulator::run() {
   if (ran_) throw std::logic_error("NetSimulator::run: single-shot");
   ran_ = true;
-  driver_.start();
-  done_ = driver_.workload_done();
+  client_->start();
   const auto on_message = [this](const MessageQueue::Event& e) { execute(e); };
   const auto on_alarm = [this](const Message& t) {
-    driver_.on_timer(t);
-    const DriverReport& r = driver_.report();
+    hosts_[0].alarm(t);
+    const DriverReport& r = client_->report();
     const std::uint64_t completed = r.inserts + r.lookups + r.puts + r.gets;
     if (completed != completed_) {
       completed_ = completed;
@@ -98,8 +88,8 @@ NetMetrics NetSimulator::run() {
           "the link delays dwarf the client's 50 ms retransmit alarm");
     }
   };
-  while (!done_ &&
-         (cfg_.max_events == 0 || metrics_.events < cfg_.max_events)) {
+  while (!client_->workload_done() &&
+         (cfg_.max_events == 0 || result_.events < cfg_.max_events)) {
     if (!net_.step(on_message, on_alarm)) {
       // Every op in flight has a message or an armed alarm.
       throw std::logic_error("NetSimulator: ops in flight, nothing scheduled");
@@ -108,13 +98,13 @@ NetMetrics NetSimulator::run() {
   return finish();
 }
 
-/// Count, hash-fold and record one delivered message, then hand it to its
-/// node (a request) or to the client (a reply).
+/// Count, hash-fold and record one delivered message, then hand it to the
+/// host it is addressed to.
 void NetSimulator::execute(const MessageQueue::Event& e) {
   const Message& m = e.payload;
-  ++metrics_.events;
-  metrics_.end_time = e.time;
-  std::uint64_t& h = metrics_.trace_hash;
+  ++result_.events;
+  result_.end_us = e.time;
+  std::uint64_t& h = result_.trace_hash;
   fold(h, std::bit_cast<std::uint64_t>(e.time));
   fold(h, e.seq);
   fold(h, (static_cast<std::uint64_t>(m.type) << 48) ^
@@ -128,66 +118,31 @@ void NetSimulator::execute(const MessageQueue::Event& e) {
     cfg_.trace->record(protocol::trace_record(obs::TracePhase::kPopped, m,
                                               e.time, m.at, m.from));
   }
-  if (protocol::is_request(m.type)) {
-    nodes_[m.at].on_message(m);
-  } else {
-    driver_.on_reply(m);  // only a reply can complete the workload
-    done_ = driver_.workload_done();
-  }
+  hosts_[m.at].deliver(m);
 }
 
-/// The metrics, from where the served code counts them: the client's
-/// report, the nodes' loads and the transport's link counters. Registry
-/// counters are added here in one bulk pass, never per event (the
-/// obs_overhead gate).
-NetMetrics NetSimulator::finish() {
-  const DriverReport& r = driver_.report();
-  NetMetrics& out = metrics_;
-  out.links = net_.links().total;
-  out.links_by_type = net_.links().by_type;
-  if (done_) {
+/// The result, from where the served code counts it: the client's report,
+/// the hosts' counters and loads, and the network's link counters.
+WireResult NetSimulator::finish() {
+  WireResult& out = result_;
+  out.client = client_->report();
+  // No census reply was ever delivered: each load is read off its node.
+  out.client.loads.reserve(hosts_.size());
+  for (const auto& host : hosts_) {
+    out.nodes += host.stats();
+    const std::uint32_t load = host.node().load();
+    out.client.loads.push_back(load);
+    out.client.max_load = std::max(out.client.max_load, load);
+  }
+  out.nodes.links = net_.links();
+  if (client_->workload_done()) {
     // The census probe the client sent as the workload drained was never
     // delivered: it is no link of the workload.
-    --out.links;
-    --out.links_by_type[static_cast<std::size_t>(MsgType::kProbe)];
+    --out.nodes.links.total;
+    --out.nodes.links.by_type[static_cast<std::size_t>(MsgType::kProbe)];
   }
-  out.probe_hops = r.probe_hops;
-  out.inserts = r.inserts;
-  out.lookups = r.lookups;
-  out.puts = r.puts;
-  out.gets = r.gets;
-  out.get_misses = r.get_misses;
-  out.retransmits = r.data_retransmits;
-  out.placements = r.placements;
-  out.lookup_hops = r.lookup_hops;
-  out.lookup_hops_q = r.lookup_hops_q;
-  out.insert_latency = r.insert_latency_us;
-  out.insert_latency_q = r.insert_latency_us_q;
-  out.lookup_latency = r.lookup_latency_us;
-  out.lookup_latency_q = r.lookup_latency_us_q;
-  out.get_latency = r.get_latency_us;
-  out.get_latency_q = r.get_latency_us_q;
-  out.loads.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    out.loads.push_back(node.load());
-    out.max_load = std::max(out.max_load, node.load());
-    out.stale_reads += node.stale_reads();
-  }
-  if (obs::enabled()) {
-    static const obs::Counter c_events("net.events");
-    static const obs::Counter c_links("net.links");
-    static const obs::Counter c_inserts("net.inserts");
-    static const obs::Counter c_lookups("net.lookups");
-    static const obs::Counter c_probe_hops("net.probe_hops");
-    static const obs::Counter c_stale("net.stale_reads");
-    c_events.add(out.events);
-    c_links.add(out.links);
-    c_inserts.add(out.inserts);
-    c_lookups.add(out.lookups);
-    c_probe_hops.add(out.probe_hops);
-    c_stale.add(out.stale_reads);
-  }
-  return std::move(metrics_);
+  publish(out);
+  return std::move(result_);
 }
 
 }  // namespace geochoice::net

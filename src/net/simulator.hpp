@@ -2,16 +2,18 @@
 // running the paper's two-choice insertion *over the wire*, with the
 // protocol code the real node serves.
 //
-// Every ring node runs NodeLogic (node.hpp) and node 0 also runs the one
-// ClientDriver, as in run_loopback_cluster and `dht_node --cluster`.
-// Messages move through SimTransport (transport.hpp): one link delay from
-// the LatencyModel to another node, none to itself, on one calendar-queue
-// EventQueue; time is in simulated microseconds. An insert: the client
-// probes the key's d candidate positions, node 0 routes each probe along
-// Chord fingers to the candidate's successor, which replies with its
-// *current* load, and the client places the key at the least-loaded one.
-// With other inserts in flight that load can be stale (`stale_reads`).
-// Lookups follow, then (store_gets > 0) a put per key and Zipf gets.
+// Every ring node is a NodeHost (host.hpp): its NodeLogic (node.hpp), and
+// on node 0 the one ClientDriver, as in run_loopback_cluster and
+// `dht_node --cluster`. Messages move through SimTransport
+// (transport.hpp): one link delay from the LatencyModel to another node,
+// none to itself, on one calendar-queue EventQueue; time is in simulated
+// microseconds. Each delivered message goes to hosts[m.at]. An insert:
+// the client probes the key's d candidate positions, node 0 routes each
+// probe along Chord fingers to the candidate's successor, which replies
+// with its *current* load, and the client places the key at the
+// least-loaded one. With other inserts in flight that load can be stale
+// (`stale_reads`). Lookups follow, then (store_gets > 0) a put per key and
+// Zipf gets.
 //
 // Alarms. ClientDriver arms a 50 ms retransmit alarm per op, as over UDP.
 // They run on simulated time (1 ms = 1,000 µs) on a TimerWheel, never in
@@ -22,7 +24,7 @@
 //
 // A run ends when ClientDriver::workload_done() holds. The census the
 // client starts then is never delivered, and its first probe is left out
-// of `links`; the loads are read from each NodeLogic::load().
+// of the links; the WireResult's loads are read from each NodeLogic.
 //
 // Determinism. Time ties break by schedule order, a trial runs on one
 // thread, and every draw comes from a (seed, trial, purpose) substream:
@@ -33,25 +35,23 @@
 // to exactly core::run_process over ChordSuccessorSpace (chord_space.hpp).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "core/tie_breaking.hpp"
 #include "dht/chord.hpp"
+#include "net/host.hpp"
 #include "net/latency.hpp"
 #include "net/message.hpp"
 #include "net/node.hpp"
 #include "net/transport.hpp"
 #include "obs/trace.hpp"
-#include "stats/p2_quantile.hpp"
-#include "stats/summary.hpp"
 
 namespace geochoice::net {
 
 struct NetConfig {
-  /// Ring size n (only used by make_ring/simulate; a caller-supplied ring
-  /// fixes n itself).
+  /// Ring size n (only used by simulate; a caller-supplied ring fixes n
+  /// itself).
   std::size_t nodes = 1 << 8;
   /// Keys inserted via wire-level two-choice; 0 means keys = nodes.
   std::uint64_t keys = 0;
@@ -96,51 +96,6 @@ struct NetConfig {
   }
 };
 
-/// Aggregate results of one simulation run.
-struct NetMetrics {
-  std::uint64_t events = 0;  // executed events (= delivered messages)
-  /// Protocol sends, self-addressed ones included (the wire cost). The
-  /// census probe sent as the workload drains is never delivered and not
-  /// counted, so a drained run has links == events.
-  std::uint64_t links = 0;
-  std::array<std::uint64_t, kMsgTypeCount> links_by_type{};
-  /// Total forwarding hops spent routing insert probes — the wire price of
-  /// consulting d candidates before placing.
-  std::uint64_t probe_hops = 0;
-  /// Placements whose owner load had changed between the load reply and
-  /// the placement's arrival (two-choice acting on stale information).
-  std::uint64_t stale_reads = 0;
-  std::uint64_t inserts = 0;
-  std::uint64_t lookups = 0;
-  /// Store workload (zero unless cfg.store_gets > 0).
-  std::uint64_t puts = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t get_misses = 0;
-  /// Workload resends after a retransmit alarm (data_retransmits).
-  std::uint64_t retransmits = 0;
-  std::uint32_t max_load = 0;
-  std::vector<std::uint32_t> loads;  // final keys per node (ring order)
-  /// Owner node of every placed key, by insert op id — the map the store
-  /// phase writes through and the serving harness replays. Recorded for
-  /// every run (pure bookkeeping: no RNG, not hash-folded).
-  std::vector<std::uint32_t> placements;
-  /// Chord path length per lookup: forwards excluding the final delivery
-  /// hop onto the owner (the node before it already resolved the query).
-  /// Mean ~ 1/2 * log2(n); the full wire path is one hop longer.
-  stats::RunningStats lookup_hops;
-  stats::RunningStats insert_latency;  // simulated µs, like all latencies
-  stats::RunningStats lookup_latency;
-  stats::RunningStats get_latency;
-  stats::P2QuantileSet lookup_hops_q{{0.5, 0.9, 0.99}};
-  stats::P2QuantileSet insert_latency_q{{0.5, 0.9, 0.99}};
-  stats::P2QuantileSet lookup_latency_q{{0.5, 0.9, 0.99}};
-  stats::P2QuantileSet get_latency_q{{0.5, 0.9, 0.99}};
-  SimTime end_time = 0.0;
-  /// FNV-1a fold of every executed event (time, message fields): the
-  /// golden-trace fingerprint the determinism tests pin.
-  std::uint64_t trace_hash = 0xcbf29ce484222325ULL;
-};
-
 /// One executed event, for full-trace comparisons in tests.
 struct TraceEvent {
   SimTime time = 0.0;
@@ -163,34 +118,29 @@ class NetSimulator {
 
   /// Run the workload to completion. Single-shot: a simulator instance
   /// cannot be rerun.
-  NetMetrics run();
+  WireResult run();
 
   /// Executed-event trace (empty unless cfg.collect_trace).
   [[nodiscard]] const std::vector<TraceEvent>& trace() const noexcept {
     return trace_;
   }
 
-  /// Random ring of cfg.nodes with fingers, from the run's
-  /// kServerPlacement substream — the ring simulate() uses.
-  [[nodiscard]] static dht::ChordRing make_ring(const NetConfig& cfg);
-
-  /// make_ring + run in one call.
-  [[nodiscard]] static NetMetrics simulate(const NetConfig& cfg);
+  /// Run cfg on make_ring(cfg.nodes, cfg.seed, cfg.trial).
+  [[nodiscard]] static WireResult simulate(const NetConfig& cfg);
 
  private:
   void execute(const MessageQueue::Event& e);
-  NetMetrics finish();
+  WireResult finish();
 
   NetConfig cfg_;
   SimNetwork net_;
   std::vector<SimTransport> ports_;  // one per node, by node id
-  ClientDriver<SimTransport> driver_;
-  std::vector<NodeLogic<SimTransport>> nodes_;
+  std::vector<NodeHost<SimTransport>> hosts_;  // by node id
+  ClientDriver<SimTransport>* client_ = nullptr;  // hosts_[0]'s
   std::uint64_t completed_ = 0;  // ops answered at the last progress check
   SimTime progress_at_ = 0.0;    // when completed_ last moved
   bool ran_ = false;
-  bool done_ = false;  // driver_.workload_done() as of the last reply
-  NetMetrics metrics_;
+  WireResult result_;
   std::vector<TraceEvent> trace_;
 };
 

@@ -17,7 +17,8 @@
 //
 // The protocol cannot tell the worlds apart, so the simulator is a
 // differential oracle that runs the served code. Both count every send in
-// links(), self-addressed ones included.
+// links(), self-addressed ones included. Both worlds host each node, and
+// dispatch what its transport delivers, through one NodeHost (host.hpp).
 #pragma once
 
 #include <algorithm>
@@ -43,6 +44,12 @@ struct LinkCounters {
   void count(MsgType t) noexcept {
     ++total;
     ++by_type[static_cast<std::size_t>(t)];
+  }
+
+  LinkCounters& operator+=(const LinkCounters& o) noexcept {
+    total += o.total;
+    for (std::size_t k = 0; k < by_type.size(); ++k) by_type[k] += o.by_type[k];
+    return *this;
   }
 };
 

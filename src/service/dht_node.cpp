@@ -32,16 +32,18 @@
 // and then issue N Zipf-popular reads (--zipf exponent, 0 = uniform);
 // the nodes serve both from their HashStores.
 //
+// Every process hosts its node in a net::NodeHost (the driver's also hosts
+// the client), as the simulator and the in-process cluster do.
 // Observability: with --heartbeat-ms=N every process prints a one-line
 // stats heartbeat to stderr every N ms of transport time; SIGUSR1 dumps
 // the same line immediately (servers and the driver both install it).
+// The cluster report ends with the driver node's same counters.
 #include <cerrno>
 #include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <memory>
 #include <string>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -49,11 +51,9 @@
 #include <vector>
 
 #include "core/tie_breaking.hpp"
-#include "dht/chord.hpp"
+#include "net/host.hpp"
 #include "net/node.hpp"
-#include "net/protocol.hpp"
 #include "net/udp_transport.hpp"
-#include "rng/streams.hpp"
 #include "sim/cli.hpp"
 
 namespace {
@@ -84,25 +84,45 @@ struct Options {
   std::uint64_t heartbeat_ms = 0;  // 0 = no periodic stats line
 };
 
-/// One stats line on stderr — the heartbeat body and the SIGUSR1 dump.
-/// stderr so cluster mode's parsed stdout report stays clean.
-void print_stats(const char* why, std::uint32_t id,
-                 const net::UdpTransport& transport,
-                 const net::NodeLogic<net::UdpTransport>& node) {
-  std::fprintf(stderr,
-               "dht_node[%u] %s: t=%llums datagrams_out=%llu "
-               "malformed=%llu send_calls=%llu self_delivered=%llu "
-               "recv_calls=%llu datagrams_in=%llu load=%u keys_stored=%llu\n",
-               id, why,
-               static_cast<unsigned long long>(transport.now_ms()),
-               static_cast<unsigned long long>(transport.links().total),
-               static_cast<unsigned long long>(transport.malformed()),
-               static_cast<unsigned long long>(transport.send_calls()),
-               static_cast<unsigned long long>(transport.self_delivered()),
-               static_cast<unsigned long long>(transport.recv_calls()),
-               static_cast<unsigned long long>(transport.datagrams_in()),
-               node.load(),
-               static_cast<unsigned long long>(node.keys_stored()));
+/// The node counters every stats line ends with. The heartbeat, the
+/// SIGUSR1 dump and the cluster report all print them from here, so they
+/// cannot disagree on a name.
+std::string node_stats(const net::NodeStats& s) {
+  char buf[320];
+  std::snprintf(buf, sizeof(buf),
+                "datagrams_out=%llu malformed=%llu send_calls=%llu "
+                "self_delivered=%llu recv_calls=%llu datagrams_in=%llu "
+                "load=%llu keys_stored=%llu",
+                static_cast<unsigned long long>(s.links.total),
+                static_cast<unsigned long long>(s.malformed),
+                static_cast<unsigned long long>(s.send_calls),
+                static_cast<unsigned long long>(s.self_delivered),
+                static_cast<unsigned long long>(s.recv_calls),
+                static_cast<unsigned long long>(s.datagrams_in),
+                static_cast<unsigned long long>(s.load),
+                static_cast<unsigned long long>(s.keys_stored));
+  return buf;
+}
+
+/// After each poll, print the node's stats line on stderr (so cluster
+/// mode's parsed stdout report stays clean) if SIGUSR1 asked for it, and
+/// if the heartbeat due at transport time `next_beat_ms` has come.
+void check_stats(const net::UdpTransport& transport,
+                 const net::NodeHost<net::UdpTransport>& host,
+                 const Options& opt, std::uint64_t& next_beat_ms) {
+  const auto print = [&](const char* why) {
+    std::fprintf(stderr, "dht_node[%u] %s: t=%llums %s\n", transport.self(),
+                 why, static_cast<unsigned long long>(transport.now_ms()),
+                 node_stats(host.stats()).c_str());
+  };
+  if (g_dump != 0) {
+    g_dump = 0;
+    print("dump");
+  }
+  if (opt.heartbeat_ms > 0 && transport.now_ms() >= next_beat_ms) {
+    print("heartbeat");
+    next_beat_ms += opt.heartbeat_ms;
+  }
 }
 
 /// False, after saying why on stderr, when --`flag`'s value exceeds `max`.
@@ -112,14 +132,6 @@ bool fits(const char* flag, std::uint64_t value, std::uint64_t max) {
                static_cast<unsigned long long>(value),
                static_cast<unsigned long long>(max));
   return false;
-}
-
-dht::ChordRing make_ring(const Options& opt) {
-  auto gen = rng::make_stream(opt.seed, opt.trial,
-                              rng::StreamPurpose::kServerPlacement);
-  auto ring = dht::ChordRing::random(opt.nodes, gen);
-  ring.build_fingers();
-  return ring;
 }
 
 std::vector<net::Endpoint> make_peers(const Options& opt) {
@@ -137,44 +149,33 @@ std::vector<net::Endpoint> make_peers(const Options& opt) {
 /// write end of the readiness pipe as `ready_fd`: it gets one byte once
 /// the transport is bound, and is closed.
 int serve(const Options& opt, int ready_fd = -1) {
-  const auto ring = make_ring(opt);
-  net::UdpTransport transport(
-      opt.id, static_cast<std::uint16_t>(opt.port_base + opt.id));
-  transport.set_peers(make_peers(opt));
-  net::NodeLogic<net::UdpTransport> node(ring, opt.id, transport);
+  const auto ring = net::make_ring(opt.nodes, opt.seed, opt.trial);
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
   std::signal(SIGUSR1, on_dump);
+  net::UdpTransport transport(
+      opt.id, static_cast<std::uint16_t>(opt.port_base + opt.id));
+  transport.set_peers(make_peers(opt));
+  net::NodeHost<net::UdpTransport> host(ring, opt.id, transport);
   if (ready_fd >= 0) {
     const char bound = 1;
     while (write(ready_fd, &bound, 1) < 0 && errno == EINTR) {
     }
     close(ready_fd);
   }
-  std::uint64_t next_beat =
-      opt.heartbeat_ms > 0 ? opt.heartbeat_ms : ~0ULL;
+  std::uint64_t next_beat_ms = opt.heartbeat_ms;
   while (g_stop == 0) {
-    transport.poll(
-        50, [&](const net::Message& m) { node.on_message(m); },
-        [](const net::Message&) {});
-    if (g_dump != 0) {
-      g_dump = 0;
-      print_stats("dump", opt.id, transport, node);
-    }
-    if (transport.now_ms() >= next_beat) {
-      print_stats("heartbeat", opt.id, transport, node);
-      next_beat += opt.heartbeat_ms;
-    }
+    host.poll(50);
+    check_stats(transport, host, opt, next_beat_ms);
   }
   return 0;
 }
 
-/// Node 0 + driver + census, assuming the other nodes are listening.
+/// Node 0 + client + census, assuming the other nodes are listening.
 int drive(const Options& opt) {
-  const auto ring = make_ring(opt);
+  const auto ring = net::make_ring(opt.nodes, opt.seed, opt.trial);
   net::UdpTransport transport(0, opt.port_base);
   transport.set_peers(make_peers(opt));
-  net::NodeLogic<net::UdpTransport> node(ring, 0, transport);
 
   net::DriverConfig dcfg;
   dcfg.inserts = opt.keys == 0 ? opt.nodes : opt.keys;
@@ -187,59 +188,35 @@ int drive(const Options& opt) {
   dcfg.store_gets = opt.gets;
   dcfg.store_zipf_alpha = opt.zipf;
   dcfg.retransmit_ms = opt.retransmit_ms;
-  net::ClientDriver<net::UdpTransport> driver(ring, dcfg, transport);
+  net::NodeHost<net::UdpTransport> host(ring, 0, transport, dcfg);
+  net::ClientDriver<net::UdpTransport>& client = *host.client();
 
   std::signal(SIGUSR1, on_dump);
-  std::uint64_t next_beat =
-      opt.heartbeat_ms > 0 ? opt.heartbeat_ms : ~0ULL;
-  driver.start();
-  while (!driver.done()) {
+  std::uint64_t next_beat_ms = opt.heartbeat_ms;
+  client.start();
+  while (!client.done()) {
     if (transport.now_ms() > opt.timeout_ms) {
       std::fprintf(stderr, "dht_node: workload timed out after %llu ms\n",
                    static_cast<unsigned long long>(opt.timeout_ms));
       return 1;
     }
-    if (g_dump != 0) {
-      g_dump = 0;
-      print_stats("dump", 0, transport, node);
-    }
-    if (transport.now_ms() >= next_beat) {
-      print_stats("heartbeat", 0, transport, node);
-      next_beat += opt.heartbeat_ms;
-    }
-    transport.poll(
-        1,
-        [&](const net::Message& m) {
-          if (net::protocol::is_request(m.type)) {
-            node.on_message(m);
-          } else {
-            driver.on_reply(m);
-          }
-        },
-        [&](const net::Message& t) { driver.on_timer(t); });
+    host.poll(1);
+    check_stats(transport, host, opt, next_beat_ms);
   }
 
-  const net::DriverReport& r = driver.report();
+  const net::DriverReport& r = client.report();
   std::printf("nodes=%zu inserts=%llu lookups=%llu puts=%llu gets=%llu "
-              "get_misses=%llu max_load=%u keys_stored=%llu "
-              "retransmits=%llu data_retransmits=%llu census_retries=%llu "
-              "datagrams_out=%llu malformed=%llu send_calls=%llu "
-              "self_delivered=%llu recv_calls=%llu datagrams_in=%llu\n",
+              "get_misses=%llu max_load=%u retransmits=%llu "
+              "data_retransmits=%llu census_retries=%llu %s\n",
               opt.nodes, static_cast<unsigned long long>(r.inserts),
               static_cast<unsigned long long>(r.lookups),
               static_cast<unsigned long long>(r.puts),
               static_cast<unsigned long long>(r.gets),
               static_cast<unsigned long long>(r.get_misses), r.max_load,
-              static_cast<unsigned long long>(node.keys_stored()),
               static_cast<unsigned long long>(r.total_retransmits()),
               static_cast<unsigned long long>(r.data_retransmits),
               static_cast<unsigned long long>(r.census_retries),
-              static_cast<unsigned long long>(transport.links().total),
-              static_cast<unsigned long long>(transport.malformed()),
-              static_cast<unsigned long long>(transport.send_calls()),
-              static_cast<unsigned long long>(transport.self_delivered()),
-              static_cast<unsigned long long>(transport.recv_calls()),
-              static_cast<unsigned long long>(transport.datagrams_in()));
+              node_stats(host.stats()).c_str());
   std::printf("insert_latency_us: mean=%.1f p50=%.1f p90=%.1f p99=%.1f\n",
               r.insert_latency_us.mean(), r.insert_latency_us_q.value(0),
               r.insert_latency_us_q.value(1), r.insert_latency_us_q.value(2));
@@ -387,10 +364,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "dht_node: --id must be < --nodes\n");
       return 2;
     }
-    if (cluster) return run_cluster(opt);
-    if (args.has("id")) return serve(opt);
-    // No --cluster and no --id: serve node 0 (a one-node "cluster").
-    return serve(opt);
+    // Without --id, a server is node 0.
+    return cluster ? run_cluster(opt) : serve(opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dht_node: %s\n", e.what());
     return 2;

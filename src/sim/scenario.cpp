@@ -393,11 +393,11 @@ RunReport resolved_report(const Scenario& sc, Engine engine) {
 /// the max-load histogram and its exact quantiles (every per-trial max
 /// load is retained, so there is nothing to stream-estimate), the trial
 /// timing, and throughput over the summed trial seconds.
-template <typename Trial>
-void finish_report(const std::vector<Trial>& trials, RunReport& report) {
+void finish_report(const std::vector<TrialOutcome>& trials,
+                   RunReport& report) {
   double min_s = 0.0, max_s = 0.0, sum_s = 0.0;
   bool first = true;
-  for (const Trial& o : trials) {
+  for (const TrialOutcome& o : trials) {
     report.max_load.add(o.max_load);
     sum_s += o.seconds;
     if (first || o.seconds < min_s) min_s = o.seconds;
@@ -420,26 +420,10 @@ void finish_report(const std::vector<Trial>& trials, RunReport& report) {
   }
 }
 
-/// One wire trial, from what both transports expose: the client's counts
-/// and P² sets, the nodes' loads and stale reads, and the per-type link
-/// counters.
+/// One wire trial: the run's result, in either world, and its wall time.
 struct WireTrial {
-  std::uint32_t max_load = 0;
+  net::WireResult run;
   double seconds = 0.0;
-  std::uint64_t inserts = 0;
-  std::uint64_t probe_hops = 0;
-  std::uint64_t stale_reads = 0;
-  std::uint64_t data_retransmits = 0;
-  std::uint64_t census_retries = 0;
-  double mean_lookup_hops = 0.0;
-  stats::P2QuantileSet lookup_hops_q{{0.5, 0.9, 0.99}};
-  stats::P2QuantileSet insert_latency_q{{0.5, 0.9, 0.99}};
-  stats::P2QuantileSet lookup_latency_q{{0.5, 0.9, 0.99}};
-  net::LinkCounters links;
-  double end_time = 0.0;         // µs
-  std::uint64_t events = 0;      // kSim only
-  std::uint64_t datagrams = 0;   // kUdp only
-  std::uint64_t malformed = 0;   // kUdp only
 };
 
 /// Trial `trial` of a wire scenario on its transport, timed like a
@@ -461,60 +445,21 @@ WireTrial wire_trial(const Scenario& sc, std::uint64_t trial,
     cfg.seed = sc.seed;
     cfg.trial = trial;
     cfg.trace = trace;
-    const net::NetMetrics m = net::NetSimulator::simulate(cfg);
-    out.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-    out.max_load = m.max_load;
-    out.inserts = m.inserts;
-    out.probe_hops = m.probe_hops;
-    out.stale_reads = m.stale_reads;
-    out.data_retransmits = m.retransmits;
-    out.mean_lookup_hops = m.lookup_hops.mean();
-    out.lookup_hops_q = m.lookup_hops_q;
-    out.insert_latency_q = m.insert_latency_q;
-    out.lookup_latency_q = m.lookup_latency_q;
-    out.links = {m.links, m.links_by_type};
-    out.end_time = m.end_time;
-    out.events = m.events;
-    return out;
+    out.run = net::NetSimulator::simulate(cfg);
+  } else {
+    net::ClusterConfig cc;
+    cc.nodes = static_cast<std::size_t>(sc.num_servers);
+    cc.driver = {.inserts = sc.balls(), .lookups = sc.lookups,
+                 .choices = sc.num_choices, .window = sc.window,
+                 .tie = sc.tie, .seed = sc.seed, .trial = trial,
+                 .trace = trace};
+    out.run = net::run_loopback_cluster(cc);
   }
-  net::ClusterConfig cc;
-  cc.nodes = static_cast<std::size_t>(sc.num_servers);
-  cc.driver = {.inserts = sc.balls(), .lookups = sc.lookups,
-               .choices = sc.num_choices, .window = sc.window, .tie = sc.tie,
-               .seed = sc.seed, .trial = trial, .trace = trace};
-  const net::ClusterResult res = net::run_loopback_cluster(cc);
   out.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  const net::DriverReport& r = res.report;
-  out.max_load = r.max_load;
-  out.inserts = r.inserts;
-  out.probe_hops = r.probe_hops;
-  out.stale_reads = res.stale_reads;
-  out.data_retransmits = r.data_retransmits;
-  out.census_retries = r.census_retries;
-  out.mean_lookup_hops = r.lookup_hops.mean();
-  out.lookup_hops_q = r.lookup_hops_q;
-  out.insert_latency_q = r.insert_latency_us_q;
-  out.lookup_latency_q = r.lookup_latency_us_q;
-  out.links = res.links;
-  out.end_time = static_cast<double>(res.elapsed_us);
-  out.datagrams = res.links.total;
-  out.malformed = res.malformed;
-  if (obs::enabled()) {
-    static const obs::Counter c_datagrams("cluster.datagrams");
-    static const obs::Counter c_malformed("cluster.malformed");
-    static const obs::Counter c_inserts("cluster.inserts");
-    static const obs::Counter c_lookups("cluster.lookups");
-    static const obs::Counter c_stale("cluster.stale_reads");
-    static const obs::Counter c_data_rtx("cluster.data_retransmits");
-    static const obs::Counter c_census("cluster.census_retries");
-    c_datagrams.add(out.datagrams);
-    c_malformed.add(out.malformed);
-    c_inserts.add(r.inserts);
-    c_lookups.add(r.lookups);
-    c_stale.add(out.stale_reads);
-    c_data_rtx.add(r.data_retransmits);
-    c_census.add(r.census_retries);
-  }
+  // The aggregation reads no per-key or per-node vector: free them, so the
+  // trials a run keeps until it aggregates hold no per-key memory.
+  out.run.client.placements = std::vector<std::uint32_t>();
+  out.run.client.loads = std::vector<std::uint32_t>();
   return out;
 }
 
@@ -525,32 +470,34 @@ WireMetrics aggregate_wire(const std::vector<WireTrial>& trials) {
   w.present = true;
   const auto t = static_cast<double>(trials.size());
   std::uint64_t inserts = 0, links = 0, probe_hops = 0, stale = 0;
-  for (const WireTrial& r : trials) {
-    w.mean_lookup_hops += r.mean_lookup_hops / t;
-    w.lookup_hops_p50 += r.lookup_hops_q.value(0) / t;
-    w.lookup_hops_p90 += r.lookup_hops_q.value(1) / t;
-    w.lookup_hops_p99 += r.lookup_hops_q.value(2) / t;
-    w.insert_latency_p50 += r.insert_latency_q.value(0) / t;
-    w.insert_latency_p90 += r.insert_latency_q.value(1) / t;
-    w.insert_latency_p99 += r.insert_latency_q.value(2) / t;
-    w.lookup_latency_p50 += r.lookup_latency_q.value(0) / t;
-    w.lookup_latency_p90 += r.lookup_latency_q.value(1) / t;
-    w.lookup_latency_p99 += r.lookup_latency_q.value(2) / t;
-    w.mean_events += static_cast<double>(r.events) / t;
-    w.mean_end_time += r.end_time / t;
-    inserts += r.inserts;
+  for (const WireTrial& trial : trials) {
+    const net::DriverReport& c = trial.run.client;
+    const net::NodeStats& n = trial.run.nodes;
+    w.mean_lookup_hops += c.lookup_hops.mean() / t;
+    w.lookup_hops_p50 += c.lookup_hops_q.value(0) / t;
+    w.lookup_hops_p90 += c.lookup_hops_q.value(1) / t;
+    w.lookup_hops_p99 += c.lookup_hops_q.value(2) / t;
+    w.insert_latency_p50 += c.insert_latency_us_q.value(0) / t;
+    w.insert_latency_p90 += c.insert_latency_us_q.value(1) / t;
+    w.insert_latency_p99 += c.insert_latency_us_q.value(2) / t;
+    w.lookup_latency_p50 += c.lookup_latency_us_q.value(0) / t;
+    w.lookup_latency_p90 += c.lookup_latency_us_q.value(1) / t;
+    w.lookup_latency_p99 += c.lookup_latency_us_q.value(2) / t;
+    w.mean_events += static_cast<double>(trial.run.events) / t;
+    w.mean_end_time += trial.run.end_us / t;
+    inserts += c.inserts;
     for (const net::MsgType k : {net::MsgType::kProbe,
                                  net::MsgType::kProbeReply,
                                  net::MsgType::kPlace,
                                  net::MsgType::kPlaceAck}) {
-      links += r.links.by_type[static_cast<std::size_t>(k)];
+      links += n.links.by_type[static_cast<std::size_t>(k)];
     }
-    probe_hops += r.probe_hops;
-    stale += r.stale_reads;
-    w.datagrams += r.datagrams;
-    w.malformed += r.malformed;
-    w.data_retransmits += r.data_retransmits;
-    w.census_retries += r.census_retries;
+    probe_hops += c.probe_hops;
+    stale += n.stale_reads;
+    w.datagrams += n.links.total;
+    w.malformed += n.malformed;
+    w.data_retransmits += c.data_retransmits;
+    w.census_retries += c.census_retries;
   }
   w.retransmits = w.data_retransmits + w.census_retries;
   if (inserts > 0) {
@@ -607,7 +554,12 @@ RunReport run_wire(const Scenario& sc) {
       sc.transport == WireTransport::kUdp ? 1 : sc.threads);
   if (recorder) write_trace_file(*recorder, sc.trace_out);
 
-  finish_report(trials, report);
+  std::vector<TrialOutcome> outcomes;
+  outcomes.reserve(trials.size());
+  for (const WireTrial& t : trials) {
+    outcomes.push_back({t.run.client.max_load, t.seconds});
+  }
+  finish_report(outcomes, report);
   report.wire = aggregate_wire(trials);
   return report;
 }

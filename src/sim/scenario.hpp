@@ -199,8 +199,9 @@ struct WireMetrics {
   /// When a trial stopped, in µs from its start: the workload's last
   /// reply on kSim, the census's last reply on kUdp.
   double mean_end_time = 0.0;
-  /// kUdp only: every transport send (self-addressed included) and the
-  /// received frames that failed to decode, summed over trials.
+  /// Every protocol send (self-addressed included), summed over trials;
+  /// kUdp counts the closing census too, as in links_per_insert. Then the
+  /// received frames that failed to decode (kUdp only).
   std::uint64_t datagrams = 0;
   std::uint64_t malformed = 0;
   /// The client's resends after a retransmit alarm, summed over trials:
@@ -234,8 +235,8 @@ struct RunReport {
   /// Registry snapshot (counters/gauges/histograms) taken at the end of
   /// the run; empty unless spec.obs (or a trace_out) turned the obs layer
   /// on. Every engine reports here: structural runs carry
-  /// scenario.trials/scenario.balls, sim-transport runs the net.*
-  /// counters, udp runs the cluster.* counters.
+  /// scenario.trials/scenario.balls, wire runs on either transport the
+  /// one net.* set (net::publish).
   std::vector<obs::MetricValue> metrics;
 
   /// Per-trial wall timing (seconds), aggregated over trials: each trial

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/protocol.hpp"
@@ -68,13 +69,11 @@ ServingReport run_serving(const ServingConfig& cfg) {
   ncfg.latency = cfg.latency;
   ncfg.seed = cfg.seed;
   ncfg.trial = cfg.trial;
-  const auto ring = net::NetSimulator::make_ring(ncfg);
-  net::NetSimulator placer(ring, ncfg);
-  const net::NetMetrics placed = placer.run();
+  net::WireResult placed = net::NetSimulator::simulate(ncfg);
 
   ServingReport report;
-  report.placements = placed.placements;
-  report.max_load = placed.max_load;
+  report.placements = std::move(placed.client.placements);
+  report.max_load = placed.client.max_load;
 
   // Phase 2: store every key's value at its owner — the same HashStore
   // and the same value derivation the UDP cluster uses.

@@ -85,12 +85,24 @@ double P2Quantile::value() const noexcept {
 }
 
 P2QuantileSet::P2QuantileSet(std::vector<double> probabilities) {
+  if (!std::is_sorted(probabilities.begin(), probabilities.end())) {
+    throw std::invalid_argument(
+        "P2QuantileSet: probabilities must be ascending");
+  }
   estimators_.reserve(probabilities.size());
   for (double q : probabilities) estimators_.emplace_back(q);
 }
 
 void P2QuantileSet::add(double x) noexcept {
   for (auto& e : estimators_) e.add(x);
+}
+
+double P2QuantileSet::value(std::size_t i) const {
+  std::vector<double> sorted;
+  sorted.reserve(estimators_.size());
+  for (const auto& e : estimators_) sorted.push_back(e.value());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted[i];
 }
 
 }  // namespace geochoice::stats

@@ -43,10 +43,15 @@ class P2Quantile {
   std::array<double, 5> rate_{};      // desired-position increments dn'_i
 };
 
-/// A bank of P² estimators over a fixed probability list (e.g. p50/p90/p99),
-/// fed once per observation.
+/// A bank of P² estimators over a fixed ascending probability list (e.g.
+/// p50/p90/p99), fed once per observation. Each probability has its own
+/// estimator, and independent estimators can cross (a p90 estimate above
+/// the p99 one), so value(i) reads the estimates sorted ascending: the
+/// monotone rearrangement, which leaves estimates that do not cross as
+/// they are.
 class P2QuantileSet {
  public:
+  /// Throws std::invalid_argument unless `probabilities` ascend.
   explicit P2QuantileSet(std::vector<double> probabilities);
 
   void add(double x) noexcept;
@@ -57,9 +62,8 @@ class P2QuantileSet {
   [[nodiscard]] double probability(std::size_t i) const noexcept {
     return estimators_[i].probability();
   }
-  [[nodiscard]] double value(std::size_t i) const noexcept {
-    return estimators_[i].value();
-  }
+  /// The i-th smallest estimate.
+  [[nodiscard]] double value(std::size_t i) const;
   [[nodiscard]] std::uint64_t count() const noexcept {
     return estimators_.empty() ? 0 : estimators_.front().count();
   }

@@ -216,78 +216,3 @@ TEST(TwoChoiceDht, MeanLookupProbesBetweenOneAndD) {
   EXPECT_GE(probes, 1.0);
   EXPECT_LE(probes, 3.0);
 }
-
-// ------------------------------------------------------------------- workload
-
-TEST(Workload, RejectsBadFractions) {
-  gr::Xoshiro256StarStar gen(16);
-  gd::WorkloadConfig bad;
-  bad.operations = 10;
-  bad.lookup_fraction = 0.8;
-  bad.delete_fraction = 0.5;
-  EXPECT_THROW((void)gd::generate_workload(bad, gen), std::invalid_argument);
-}
-
-TEST(Workload, PureInsertWorkload) {
-  gr::Xoshiro256StarStar gen(17);
-  gd::WorkloadConfig cfg;
-  cfg.operations = 100;
-  const auto ops = gd::generate_workload(cfg, gen);
-  ASSERT_EQ(ops.size(), 100u);
-  for (const auto& op : ops) {
-    EXPECT_EQ(op.type, gd::OpType::kInsert);
-    EXPECT_GE(op.key, 0.0);
-    EXPECT_LT(op.key, 1.0);
-  }
-}
-
-TEST(Workload, MixedWorkloadTargetsAreValid) {
-  gr::Xoshiro256StarStar gen(18);
-  gd::WorkloadConfig cfg;
-  cfg.operations = 5000;
-  cfg.lookup_fraction = 0.4;
-  cfg.delete_fraction = 0.1;
-  const auto ops = gd::generate_workload(cfg, gen);
-  std::uint64_t inserted = 0;
-  std::size_t lookups = 0, deletes = 0;
-  for (const auto& op : ops) {
-    switch (op.type) {
-      case gd::OpType::kInsert:
-        ++inserted;
-        break;
-      case gd::OpType::kLookup:
-        ASSERT_LT(op.target, inserted);
-        ++lookups;
-        break;
-      case gd::OpType::kDelete:
-        ASSERT_LT(op.target, inserted);
-        ++deletes;
-        break;
-    }
-  }
-  // Mix fractions are approximate (first ops must insert).
-  EXPECT_NEAR(lookups / 5000.0, 0.4, 0.05);
-  EXPECT_NEAR(deletes / 5000.0, 0.1, 0.03);
-}
-
-TEST(Workload, ZipfLookupsSkewTowardOldKeys) {
-  gr::Xoshiro256StarStar gen(19);
-  gd::WorkloadConfig cfg;
-  cfg.operations = 20000;
-  cfg.lookup_fraction = 0.5;
-  cfg.zipf_alpha = 1.2;
-  const auto ops = gd::generate_workload(cfg, gen);
-  std::uint64_t inserted = 0;
-  std::size_t low_half = 0, lookups = 0;
-  for (const auto& op : ops) {
-    if (op.type == gd::OpType::kInsert) {
-      ++inserted;
-    } else if (op.type == gd::OpType::kLookup) {
-      ++lookups;
-      if (op.target < inserted / 2 + 1) ++low_half;
-    }
-  }
-  ASSERT_GT(lookups, 1000u);
-  // Zipf(1.2) puts the bulk of mass on early ranks.
-  EXPECT_GT(low_half / static_cast<double>(lookups), 0.75);
-}

@@ -255,7 +255,7 @@ TEST(ChordRouting, FingerAccessorMatchesConstruction) {
 TEST(NetSim, RejectsBadConfigs) {
   gn::NetConfig cfg;
   cfg.nodes = 16;
-  auto ring = gn::NetSimulator::make_ring(cfg);
+  auto ring = gn::make_ring(cfg.nodes, cfg.seed, cfg.trial);
 
   gn::NetConfig bad = cfg;
   bad.choices = 0;
@@ -280,7 +280,7 @@ TEST(NetSim, RunIsSingleShot) {
   gn::NetConfig cfg;
   cfg.nodes = 16;
   cfg.keys = 4;
-  const auto ring = gn::NetSimulator::make_ring(cfg);
+  const auto ring = gn::make_ring(cfg.nodes, cfg.seed, cfg.trial);
   gn::NetSimulator sim(ring, cfg);
   (void)sim.run();
   EXPECT_THROW((void)sim.run(), std::logic_error);
@@ -305,7 +305,7 @@ gn::NetConfig mixed_config() {
 TEST(NetSim, IdenticalTraceAcrossRuns) {
   auto cfg = mixed_config();
   cfg.collect_trace = true;
-  const auto ring = gn::NetSimulator::make_ring(cfg);
+  const auto ring = gn::make_ring(cfg.nodes, cfg.seed, cfg.trial);
   gn::NetSimulator a(ring, cfg), b(ring, cfg);
   const auto ma = a.run();
   const auto mb = b.run();
@@ -313,10 +313,11 @@ TEST(NetSim, IdenticalTraceAcrossRuns) {
   EXPECT_EQ(a.trace().size(), b.trace().size());
   EXPECT_TRUE(a.trace() == b.trace());
   EXPECT_EQ(ma.trace_hash, mb.trace_hash);
-  EXPECT_EQ(ma.loads, mb.loads);
+  EXPECT_EQ(ma.client.loads, mb.client.loads);
   EXPECT_EQ(ma.events, mb.events);
-  EXPECT_DOUBLE_EQ(ma.end_time, mb.end_time);
-  EXPECT_DOUBLE_EQ(ma.lookup_latency_q.value(2), mb.lookup_latency_q.value(2));
+  EXPECT_DOUBLE_EQ(ma.end_us, mb.end_us);
+  EXPECT_DOUBLE_EQ(ma.client.lookup_latency_us_q.value(2),
+                   mb.client.lookup_latency_us_q.value(2));
 }
 
 TEST(NetSim, GoldenTraceHash) {
@@ -375,10 +376,10 @@ TEST(NetSim, StoreWorkloadGoldenTraceHash) {
   // get answered from the recorded owner, zero misses — bit-reproducible
   // from (seed, config) like every other trace.
   const auto m = gn::NetSimulator::simulate(store_config());
-  EXPECT_EQ(m.puts, store_config().insert_count());
-  EXPECT_EQ(m.gets, 256u);
-  EXPECT_EQ(m.get_misses, 0u);
-  EXPECT_GT(m.get_latency.count(), 0u);
+  EXPECT_EQ(m.client.puts, store_config().insert_count());
+  EXPECT_EQ(m.client.gets, 256u);
+  EXPECT_EQ(m.client.get_misses, 0u);
+  EXPECT_GT(m.client.get_latency_us.count(), 0u);
   EXPECT_EQ(m.trace_hash, 0xbe7423044176fd1cULL);
 }
 
@@ -386,9 +387,9 @@ TEST(NetSim, StoreWorkloadRecordsPlacements) {
   // metrics.placements must agree with the per-node load tallies: each
   // node's final load is exactly the number of keys placed on it.
   const auto m = gn::NetSimulator::simulate(store_config());
-  std::vector<std::uint32_t> by_owner(m.loads.size(), 0);
-  for (const std::uint32_t owner : m.placements) ++by_owner[owner];
-  EXPECT_EQ(by_owner, m.loads);
+  std::vector<std::uint32_t> by_owner(m.client.loads.size(), 0);
+  for (const std::uint32_t owner : m.client.placements) ++by_owner[owner];
+  EXPECT_EQ(by_owner, m.client.loads);
 }
 
 /// mixed_config's protocol knobs as a wire-model Scenario on a 64-node
@@ -464,10 +465,10 @@ TEST(NetSim, MessageConservation) {
   const auto m = gn::NetSimulator::simulate(cfg);
   using T = gn::MsgType;
   auto by = [&](T t) {
-    return m.links_by_type[static_cast<std::size_t>(t)];
+    return m.nodes.links.by_type[static_cast<std::size_t>(t)];
   };
-  EXPECT_EQ(m.inserts, cfg.keys);
-  EXPECT_EQ(m.lookups, cfg.lookups);
+  EXPECT_EQ(m.client.inserts, cfg.keys);
+  EXPECT_EQ(m.client.lookups, cfg.lookups);
   // Every probe eventually produces exactly one reply; every insert one
   // place + one ack; every lookup one reply.
   EXPECT_EQ(by(T::kProbeReply),
@@ -475,14 +476,16 @@ TEST(NetSim, MessageConservation) {
   EXPECT_EQ(by(T::kPlace), cfg.keys);
   EXPECT_EQ(by(T::kPlaceAck), cfg.keys);
   EXPECT_EQ(by(T::kLookupReply), cfg.lookups);
-  const auto total = std::accumulate(m.links_by_type.begin(),
-                                     m.links_by_type.end(), std::uint64_t{0});
-  EXPECT_EQ(total, m.links);
+  const auto& by_type = m.nodes.links.by_type;
+  const auto total =
+      std::accumulate(by_type.begin(), by_type.end(), std::uint64_t{0});
+  EXPECT_EQ(total, m.nodes.links.total);
   // Key conservation: every insert landed on exactly one node.
-  EXPECT_EQ(std::accumulate(m.loads.begin(), m.loads.end(), std::uint64_t{0}),
+  EXPECT_EQ(std::accumulate(m.client.loads.begin(), m.client.loads.end(),
+                            std::uint64_t{0}),
             cfg.keys);
-  EXPECT_EQ(m.insert_latency.count(), cfg.keys);
-  EXPECT_EQ(m.lookup_latency.count(), cfg.lookups);
+  EXPECT_EQ(m.client.insert_latency_us.count(), cfg.keys);
+  EXPECT_EQ(m.client.lookup_latency_us.count(), cfg.lookups);
 }
 
 TEST(NetSim, SerializedWindowNeverReadsStale) {
@@ -492,7 +495,7 @@ TEST(NetSim, SerializedWindowNeverReadsStale) {
   cfg.window = 1;
   cfg.latency = gn::LatencyModel::lognormal(0.0, 1.0);
   const auto m = gn::NetSimulator::simulate(cfg);
-  EXPECT_EQ(m.stale_reads, 0u);
+  EXPECT_EQ(m.nodes.stale_reads, 0u);
 }
 
 TEST(NetSim, WideWindowReadsGoStale) {
@@ -501,7 +504,7 @@ TEST(NetSim, WideWindowReadsGoStale) {
   cfg.keys = 2048;
   cfg.window = 64;
   const auto m = gn::NetSimulator::simulate(cfg);
-  EXPECT_GT(m.stale_reads, 0u);
+  EXPECT_GT(m.nodes.stale_reads, 0u);
 }
 
 // ----------------------------------------- the served protocol, simulated
@@ -553,11 +556,12 @@ TEST(NetSim, OneNodeRingRunsOnSelfSendsAlone) {
   cfg.lookups = 4;
   cfg.latency = gn::LatencyModel::constant(7.0);
   const auto m = gn::NetSimulator::simulate(cfg);
-  EXPECT_EQ(m.end_time, 0.0);
-  EXPECT_EQ(m.insert_latency.max(), 0.0);
-  EXPECT_EQ(m.lookup_latency.max(), 0.0);
-  EXPECT_EQ(m.loads, std::vector<std::uint32_t>{8});
-  EXPECT_EQ(m.links, m.events);  // every self-send counted and delivered
+  EXPECT_EQ(m.end_us, 0.0);
+  EXPECT_EQ(m.client.insert_latency_us.max(), 0.0);
+  EXPECT_EQ(m.client.lookup_latency_us.max(), 0.0);
+  EXPECT_EQ(m.client.loads, std::vector<std::uint32_t>{8});
+  // Every self-send counted and delivered.
+  EXPECT_EQ(m.nodes.links.total, m.events);
 }
 
 TEST(NetSim, LatenciesKeepSimTimePrecision) {
@@ -575,11 +579,14 @@ TEST(NetSim, LatenciesKeepSimTimePrecision) {
   const auto a = gn::NetSimulator::simulate(cfg);
   cfg.latency = gn::LatencyModel::constant(0.15);
   const auto b = gn::NetSimulator::simulate(cfg);
-  EXPECT_GT(b.insert_latency.mean(), 0.0);
-  EXPECT_EQ(a.insert_latency.mean(), 2.0 * b.insert_latency.mean());
-  EXPECT_EQ(a.insert_latency.max(), 2.0 * b.insert_latency.max());
-  EXPECT_EQ(a.lookup_latency.mean(), 2.0 * b.lookup_latency.mean());
-  EXPECT_EQ(a.end_time, 2.0 * b.end_time);
+  EXPECT_GT(b.client.insert_latency_us.mean(), 0.0);
+  EXPECT_EQ(a.client.insert_latency_us.mean(),
+            2.0 * b.client.insert_latency_us.mean());
+  EXPECT_EQ(a.client.insert_latency_us.max(),
+            2.0 * b.client.insert_latency_us.max());
+  EXPECT_EQ(a.client.lookup_latency_us.mean(),
+            2.0 * b.client.lookup_latency_us.mean());
+  EXPECT_EQ(a.end_us, 2.0 * b.end_us);
 }
 
 TEST(NetSim, AlarmsRunOnSimulatedTime) {
@@ -704,18 +711,19 @@ TEST(NetSim, RunEndsWhenTheWorkloadDrains) {
   // nodes.
   auto cfg = mixed_config();
   cfg.collect_trace = true;
-  const auto ring = gn::NetSimulator::make_ring(cfg);
+  const auto ring = gn::make_ring(cfg.nodes, cfg.seed, cfg.trial);
   gn::NetSimulator sim(ring, cfg);
   const auto m = sim.run();
-  EXPECT_EQ(m.links, m.events);
+  EXPECT_EQ(m.nodes.links.total, m.events);
   for (const auto& e : sim.trace()) {
     EXPECT_FALSE(e.msg.type == gn::MsgType::kProbe &&
                  e.msg.probe == gn::protocol::kCensusProbe);
   }
-  EXPECT_EQ(m.end_time, sim.trace().back().time);
-  EXPECT_EQ(std::accumulate(m.loads.begin(), m.loads.end(), std::uint64_t{0}),
+  EXPECT_EQ(m.end_us, sim.trace().back().time);
+  EXPECT_EQ(std::accumulate(m.client.loads.begin(), m.client.loads.end(),
+                            std::uint64_t{0}),
             cfg.keys);
-  EXPECT_EQ(m.retransmits, 0u);
+  EXPECT_EQ(m.client.data_retransmits, 0u);
 }
 
 TEST(NetSim, RetransmitsWhenLinksOutlastTheAlarm) {
@@ -730,17 +738,18 @@ TEST(NetSim, RetransmitsWhenLinksOutlastTheAlarm) {
   cfg.store_gets = 32;
   cfg.latency = gn::LatencyModel::constant(60'000.0);
   const auto m = gn::NetSimulator::simulate(cfg);
-  EXPECT_GT(m.retransmits, 0u);
-  EXPECT_EQ(m.inserts, cfg.keys);
-  EXPECT_EQ(m.lookups, cfg.lookups);
-  EXPECT_EQ(m.puts, cfg.keys);
-  EXPECT_EQ(m.gets, cfg.store_gets);
-  EXPECT_EQ(m.get_misses, 0u);
-  EXPECT_EQ(std::accumulate(m.loads.begin(), m.loads.end(), std::uint64_t{0}),
+  EXPECT_GT(m.client.data_retransmits, 0u);
+  EXPECT_EQ(m.client.inserts, cfg.keys);
+  EXPECT_EQ(m.client.lookups, cfg.lookups);
+  EXPECT_EQ(m.client.puts, cfg.keys);
+  EXPECT_EQ(m.client.gets, cfg.store_gets);
+  EXPECT_EQ(m.client.get_misses, 0u);
+  EXPECT_EQ(std::accumulate(m.client.loads.begin(), m.client.loads.end(),
+                            std::uint64_t{0}),
             cfg.keys);
-  std::vector<std::uint32_t> by_owner(m.loads.size(), 0);
-  for (const std::uint32_t owner : m.placements) ++by_owner[owner];
-  EXPECT_EQ(by_owner, m.loads);
+  std::vector<std::uint32_t> by_owner(m.client.loads.size(), 0);
+  for (const std::uint32_t owner : m.client.placements) ++by_owner[owner];
+  EXPECT_EQ(by_owner, m.client.loads);
   EXPECT_EQ(gn::NetSimulator::simulate(cfg).trace_hash, m.trace_hash);
 }
 
@@ -755,9 +764,9 @@ TEST(NetSim, SimulateWorkloadNeverRetransmits) {
   cfg.tie = gc::TieBreak::kFirstChoice;
   cfg.latency = simulate_latency();
   const auto m = gn::NetSimulator::simulate(cfg);
-  EXPECT_EQ(m.retransmits, 0u);
-  EXPECT_EQ(m.inserts, cfg.keys);
-  EXPECT_EQ(m.lookups, cfg.lookups);
+  EXPECT_EQ(m.client.data_retransmits, 0u);
+  EXPECT_EQ(m.client.inserts, cfg.keys);
+  EXPECT_EQ(m.client.lookups, cfg.lookups);
 }
 
 TEST(NetSim, StalledRunThrows) {
@@ -784,7 +793,7 @@ TEST(NetSim, MeanLookupHopsIsHalfLogN) {
     cfg.window = 8;
     const auto m = gn::NetSimulator::simulate(cfg);
     const double expected = 0.5 * std::log2(static_cast<double>(n));
-    EXPECT_NEAR(m.lookup_hops.mean(), expected, 0.1 * expected)
+    EXPECT_NEAR(m.client.lookup_hops.mean(), expected, 0.1 * expected)
         << "n = " << n;
   }
 }
@@ -806,7 +815,7 @@ TEST(NetSim, ZeroLatencyReproducesRunProcessExactly) {
       cfg.tie = tie;
       cfg.latency = gn::LatencyModel::zero();
       cfg.trial = trial;
-      const auto ring = gn::NetSimulator::make_ring(cfg);
+      const auto ring = gn::make_ring(cfg.nodes, cfg.seed, cfg.trial);
       gn::NetSimulator sim(ring, cfg);
       const auto m = sim.run();
 
@@ -818,9 +827,9 @@ TEST(NetSim, ZeroLatencyReproducesRunProcessExactly) {
       auto gen = gr::make_stream(cfg.seed, cfg.trial,
                                  gr::StreamPurpose::kBallChoices);
       const auto ref = gc::run_process(space, opt, gen);
-      EXPECT_EQ(m.loads, ref.loads);
-      EXPECT_EQ(m.max_load, ref.max_load);
-      EXPECT_EQ(m.stale_reads, 0u);
+      EXPECT_EQ(m.client.loads, ref.loads);
+      EXPECT_EQ(m.client.max_load, ref.max_load);
+      EXPECT_EQ(m.nodes.stale_reads, 0u);
     }
   }
 }
@@ -838,9 +847,9 @@ TEST(NetSim, ZeroLatencyRandomTieMatchesRunProcessDistribution) {
     cfg.tie = gc::TieBreak::kRandom;
     cfg.latency = gn::LatencyModel::zero();
     cfg.trial = trial;
-    const auto ring = gn::NetSimulator::make_ring(cfg);
+    const auto ring = gn::make_ring(cfg.nodes, cfg.seed, cfg.trial);
     gn::NetSimulator sim(ring, cfg);
-    sim_sum += sim.run().max_load;
+    sim_sum += sim.run().client.max_load;
 
     const gn::ChordSuccessorSpace space(ring);
     gc::ProcessOptions opt;

@@ -19,11 +19,10 @@
 #include <vector>
 
 #include "core/tie_breaking.hpp"
-#include "dht/chord.hpp"
+#include "net/host.hpp"
 #include "net/node.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "rng/streams.hpp"
 
 namespace {
 
@@ -67,13 +66,6 @@ struct FakeTransport {
   }
 };
 
-dht::ChordRing make_ring(std::size_t nodes) {
-  auto gen = rng::make_stream(kSeed, 0, rng::StreamPurpose::kServerPlacement);
-  auto ring = dht::ChordRing::random(nodes, gen);
-  ring.build_fingers();
-  return ring;
-}
-
 net::DriverConfig driver_config(std::uint64_t inserts, std::uint64_t lookups) {
   net::DriverConfig cfg;
   cfg.inserts = inserts;
@@ -87,7 +79,7 @@ net::DriverConfig driver_config(std::uint64_t inserts, std::uint64_t lookups) {
 }
 
 TEST(NodeLogicDriver, ProbeAlarmCountsAsDataRetransmit) {
-  const auto ring = make_ring(4);
+  const auto ring = net::make_ring(4, kSeed, 0);
   FakeTransport transport;
   auto cfg = driver_config(/*inserts=*/1, /*lookups=*/0);
   net::ClientDriver<FakeTransport> driver(ring, cfg, transport);
@@ -109,7 +101,7 @@ TEST(NodeLogicDriver, ProbeAlarmCountsAsDataRetransmit) {
 }
 
 TEST(NodeLogicDriver, CensusAlarmCountsAsCensusRetry) {
-  const auto ring = make_ring(3);
+  const auto ring = net::make_ring(3, kSeed, 0);
   FakeTransport transport;
   // Empty workload: start() goes straight to the census.
   auto cfg = driver_config(/*inserts=*/0, /*lookups=*/0);
@@ -130,7 +122,7 @@ TEST(NodeLogicDriver, CensusAlarmCountsAsCensusRetry) {
 }
 
 TEST(NodeLogicDriver, TraceRecordsScheduledAndRetransmitted) {
-  const auto ring = make_ring(4);
+  const auto ring = net::make_ring(4, kSeed, 0);
   FakeTransport transport;
   obs::TraceRecorder rec;
   auto cfg = driver_config(/*inserts=*/1, /*lookups=*/0);
@@ -159,7 +151,7 @@ TEST(NodeLogicDriver, TraceRecordsScheduledAndRetransmitted) {
 }
 
 TEST(NodeLogicServer, ForwardAndDeliverHitTheTrace) {
-  const auto ring = make_ring(8);
+  const auto ring = net::make_ring(8, kSeed, 0);
   obs::TraceRecorder rec;
 
   // A probe keyed at node 0's own ring position: delivered at node 0,
@@ -200,7 +192,7 @@ TEST(NodeLogicServer, ForwardAndDeliverHitTheTrace) {
 }
 
 TEST(NodeLogicServer, DuplicatePlaceBumpsLoadOnce) {
-  const auto ring = make_ring(2);
+  const auto ring = net::make_ring(2, kSeed, 0);
   FakeTransport transport;
   net::NodeLogic<FakeTransport> node(ring, 0, transport);
 
@@ -221,7 +213,7 @@ TEST(NodeLogicServer, AtMostOnceHoldsForEveryPlacement) {
   // The dedup set keeps every placement it applied, not a recent window:
   // a retransmit of the first of 5,000 placements is acked and not
   // counted.
-  const auto ring = make_ring(2);
+  const auto ring = net::make_ring(2, kSeed, 0);
   FakeTransport transport;
   net::NodeLogic<FakeTransport> node(ring, 0, transport);
 

@@ -121,11 +121,11 @@ TEST(ObjectPool, SimulatorTeardownMidFlightIsClean) {
   cfg.window = 16;
   cfg.lookups = 64;
   cfg.max_events = 100;
-  const auto ring = gn::NetSimulator::make_ring(cfg);
+  const auto ring = gn::make_ring(cfg.nodes, cfg.seed, cfg.trial);
   gn::NetSimulator sim(ring, cfg);
   const auto m = sim.run();
   EXPECT_EQ(m.events, cfg.max_events);
-  EXPECT_LT(m.inserts, cfg.keys);  // genuinely mid-flight
+  EXPECT_LT(m.client.inserts, cfg.keys);  // genuinely mid-flight
 }
 
 TEST(ObjectPool, BoundedRunIsAPrefixOfTheFullRun) {
@@ -137,7 +137,7 @@ TEST(ObjectPool, BoundedRunIsAPrefixOfTheFullRun) {
   cfg.window = 8;
   cfg.latency = gn::LatencyModel::uniform(0.5, 1.5);
   cfg.collect_trace = true;
-  const auto ring = gn::NetSimulator::make_ring(cfg);
+  const auto ring = gn::make_ring(cfg.nodes, cfg.seed, cfg.trial);
   gn::NetSimulator full(ring, cfg);
   (void)full.run();
   auto bounded_cfg = cfg;

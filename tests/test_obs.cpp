@@ -171,7 +171,7 @@ TEST(ObsRegistry, StoreCountersAreWorkerAndShardInvariant) {
   cfg.lookups = 16;
   cfg.tie = core::TieBreak::kFirstChoice;
   cfg.store_gets = 512;
-  const auto ring = net::NetSimulator::make_ring(cfg);
+  const auto ring = net::make_ring(cfg.nodes, cfg.seed, cfg.trial);
 
   obs::Registry::global().reset();
   (void)net::NetSimulator(ring, cfg).run();

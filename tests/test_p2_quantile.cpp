@@ -119,3 +119,36 @@ TEST(P2QuantileSet, MatchesIndividualEstimators) {
   EXPECT_LE(set.value(0), set.value(1));
   EXPECT_LE(set.value(1), set.value(2));
 }
+
+TEST(P2QuantileSet, EstimatesNeverCross) {
+  // Three regimes in thirds, each a share of zeros and a narrow band: fed
+  // to independent estimators, this stream puts the p90 estimate (158.41)
+  // above the p99 one (156.55). The set reads the estimates sorted.
+  struct Part {
+    double zeros, lo, hi;
+  };
+  constexpr Part kParts[3] = {
+      {0.05, 42.0, 169.0}, {0.28, 154.0, 160.0}, {0.17, 93.0, 103.0}};
+  constexpr int kValues = 1123;
+  gr::DefaultEngine gen(7);
+  gst::P2QuantileSet set({0.5, 0.9, 0.99});
+  gst::P2Quantile p50(0.5), p90(0.9), p99(0.99);
+  for (int i = 0; i < kValues; ++i) {
+    const Part& part = kParts[i * 3 / kValues];
+    const double x = gr::bernoulli(gen, part.zeros)
+                         ? 0.0
+                         : std::floor(gr::uniform_real(gen, part.lo, part.hi));
+    set.add(x);
+    p50.add(x);
+    p90.add(x);
+    p99.add(x);
+  }
+  ASSERT_GT(p90.value(), p99.value());  // the estimators cross
+  EXPECT_DOUBLE_EQ(set.value(0), p50.value());
+  EXPECT_DOUBLE_EQ(set.value(1), p99.value());
+  EXPECT_DOUBLE_EQ(set.value(2), p90.value());
+}
+
+TEST(P2QuantileSet, RejectsDescendingProbabilities) {
+  EXPECT_THROW(gst::P2QuantileSet({0.9, 0.5}), std::invalid_argument);
+}

@@ -64,14 +64,14 @@ constexpr std::uint64_t kStoreGoldenHash = 0xbe7423044176fd1cULL;
 /// One trial's metrics, and its executed-event trace when the config
 /// collects one.
 struct TrialRun {
-  gn::NetMetrics metrics;
+  gn::WireResult metrics;
   std::vector<gn::TraceEvent> trace;
 };
 
 /// Trial `trial` of `cfg` on its own ring, as sim::run runs it.
 TrialRun run_trial(gn::NetConfig cfg, std::uint64_t trial) {
   cfg.trial = trial;
-  const auto ring = gn::NetSimulator::make_ring(cfg);
+  const auto ring = gn::make_ring(cfg.nodes, cfg.seed, cfg.trial);
   gn::NetSimulator sim(ring, cfg);
   TrialRun out;
   out.metrics = sim.run();
@@ -111,26 +111,28 @@ std::string layout(std::size_t workers, std::uint64_t shards) {
          " shards=" + std::to_string(shards);
 }
 
-void expect_same_metrics(const gn::NetMetrics& seq, const gn::NetMetrics& par,
+void expect_same_metrics(const gn::WireResult& seq, const gn::WireResult& par,
                          const std::string& label) {
   EXPECT_EQ(par.trace_hash, seq.trace_hash) << label;
   EXPECT_EQ(par.events, seq.events) << label;
-  EXPECT_EQ(par.links, seq.links) << label;
-  EXPECT_EQ(par.links_by_type, seq.links_by_type) << label;
-  EXPECT_EQ(par.probe_hops, seq.probe_hops) << label;
-  EXPECT_EQ(par.stale_reads, seq.stale_reads) << label;
-  EXPECT_EQ(par.inserts, seq.inserts) << label;
-  EXPECT_EQ(par.lookups, seq.lookups) << label;
-  EXPECT_EQ(par.puts, seq.puts) << label;
-  EXPECT_EQ(par.gets, seq.gets) << label;
-  EXPECT_EQ(par.get_misses, seq.get_misses) << label;
-  EXPECT_EQ(par.max_load, seq.max_load) << label;
-  EXPECT_EQ(par.loads, seq.loads) << label;
-  EXPECT_EQ(par.placements, seq.placements) << label;
-  EXPECT_DOUBLE_EQ(par.end_time, seq.end_time) << label;
-  EXPECT_DOUBLE_EQ(par.insert_latency.mean(), seq.insert_latency.mean())
+  EXPECT_EQ(par.nodes.links.total, seq.nodes.links.total) << label;
+  EXPECT_EQ(par.nodes.links.by_type, seq.nodes.links.by_type) << label;
+  EXPECT_EQ(par.client.probe_hops, seq.client.probe_hops) << label;
+  EXPECT_EQ(par.nodes.stale_reads, seq.nodes.stale_reads) << label;
+  EXPECT_EQ(par.client.inserts, seq.client.inserts) << label;
+  EXPECT_EQ(par.client.lookups, seq.client.lookups) << label;
+  EXPECT_EQ(par.client.puts, seq.client.puts) << label;
+  EXPECT_EQ(par.client.gets, seq.client.gets) << label;
+  EXPECT_EQ(par.client.get_misses, seq.client.get_misses) << label;
+  EXPECT_EQ(par.client.max_load, seq.client.max_load) << label;
+  EXPECT_EQ(par.client.loads, seq.client.loads) << label;
+  EXPECT_EQ(par.client.placements, seq.client.placements) << label;
+  EXPECT_DOUBLE_EQ(par.end_us, seq.end_us) << label;
+  EXPECT_DOUBLE_EQ(par.client.insert_latency_us.mean(),
+                   seq.client.insert_latency_us.mean())
       << label;
-  EXPECT_DOUBLE_EQ(par.lookup_latency_q.value(2), seq.lookup_latency_q.value(2))
+  EXPECT_DOUBLE_EQ(par.client.lookup_latency_us_q.value(2),
+                   seq.client.lookup_latency_us_q.value(2))
       << label;
 }
 
@@ -196,8 +198,8 @@ TEST(ParallelNetSim, StoreWorkloadTraceMatchesSequential) {
   const auto seq = run_sequential(cfg, kTrials);
   EXPECT_EQ(seq[0].metrics.trace_hash, kStoreGoldenHash);
   for (const auto& run : seq) {
-    EXPECT_EQ(run.metrics.gets, 256u);
-    EXPECT_EQ(run.metrics.get_misses, 0u);
+    EXPECT_EQ(run.metrics.client.gets, 256u);
+    EXPECT_EQ(run.metrics.client.get_misses, 0u);
   }
   for (const auto& [workers, shards] :
        {std::tuple<std::size_t, std::uint64_t>{1, 1}, {4, 4}, {4, 2}}) {
@@ -215,7 +217,7 @@ TEST(ParallelNetSim, GoldenHashUnchangedWithObsAndTracing) {
   go::set_enabled(true);
   constexpr std::size_t kCopies = 4;
   std::vector<go::TraceRecorder> recorders(kCopies);
-  std::vector<gn::NetMetrics> runs(kCopies);
+  std::vector<gn::WireResult> runs(kCopies);
   gp::parallel_for(
       0, kCopies,
       [&](std::size_t i) {

@@ -256,11 +256,3 @@ TEST(Process, VockingBeatsOrMatchesRandomTies) {
   }
   EXPECT_LE(vocking, plain + 0.5 * kReps);  // allow sampling noise
 }
-
-TEST(MaxLoadOfRun, AgreesWithFullResult) {
-  gr::Xoshiro256StarStar g1(50);
-  auto g2 = g1;
-  const gs::UniformSpace space(32);
-  EXPECT_EQ(gc::max_load_of_run(space, opts(128, 2), g1),
-            gc::run_process(space, opts(128, 2), g2).max_load);
-}

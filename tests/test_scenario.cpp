@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <system_error>
@@ -360,14 +361,14 @@ TEST(ScenarioWire, SimPathEqualsNetSimulatorTrialByTrial) {
   std::uint64_t inserts = 0, stale = 0, links = 0;
   for (std::uint64_t t = 0; t < sc.trials; ++t) {
     const auto m = gn::NetSimulator::simulate(net_config(sc, t));
-    max_load.add(m.max_load);
+    max_load.add(m.client.max_load);
     mean_lookup_hops +=
-        m.lookup_hops.mean() / static_cast<double>(sc.trials);
-    inserts += m.inserts;
-    stale += m.stale_reads;
+        m.client.lookup_hops.mean() / static_cast<double>(sc.trials);
+    inserts += m.client.inserts;
+    stale += m.nodes.stale_reads;
     for (const auto k : {gn::MsgType::kProbe, gn::MsgType::kProbeReply,
                          gn::MsgType::kPlace, gn::MsgType::kPlaceAck}) {
-      links += m.links_by_type[static_cast<std::size_t>(k)];
+      links += m.nodes.links.by_type[static_cast<std::size_t>(k)];
     }
   }
   const auto per_insert = [&](std::uint64_t v) {
@@ -631,4 +632,52 @@ TEST(ScenarioWire, UdpMaxLoadMatchesTheSimulatorOracle) {
       static_cast<double>(sc.num_balls) * trials;
   EXPECT_GE(extra, 2.0 * n * trials - 1e-9);
   EXPECT_LE(extra, n * (n + 1.0) * trials + resent + 1e-9);
+}
+
+// Both transports publish one obs name set, net.*, and on the same
+// serialized, zero-latency spec they count the same workload.
+TEST(ScenarioWire, BothTransportsPublishOneObsNameSet) {
+  gm::Scenario sc;
+  sc.model = gm::ExecModel::kWire;
+  sc.space = gm::SpaceKind::kChordNet;
+  sc.num_servers = 5;
+  sc.num_balls = 256;
+  sc.window = 1;
+  sc.tie = gc::TieBreak::kFirstChoice;
+  sc.latency = gn::LatencyModel::zero();
+  sc.lookups = 64;
+  sc.trials = 2;
+  sc.obs = true;
+
+  auto udp = sc;
+  udp.transport = gm::WireTransport::kUdp;
+  gm::RunReport real;
+  try {
+    real = gm::run(udp);
+  } catch (const std::system_error& e) {
+    GTEST_SKIP() << "UDP loopback unavailable: " << e.what();
+  }
+  gm::RunReport simulated = gm::run(sc);
+
+  // A counter's total, or -1 when the run published no such name.
+  const auto count = [](const gm::RunReport& r, const std::string& name) {
+    for (const auto& m : r.metrics) {
+      if (m.name == name) return static_cast<std::int64_t>(m.count);
+    }
+    return std::int64_t{-1};
+  };
+  for (const gm::RunReport* r : {&real, &simulated}) {
+    for (const auto& m : r->metrics) {
+      EXPECT_NE(m.name.rfind("cluster.", 0), 0u) << m.name;
+    }
+  }
+  for (const char* name :
+       {"net.inserts", "net.lookups", "net.probe_hops", "net.stale_reads"}) {
+    EXPECT_EQ(count(real, name), count(simulated, name)) << name;
+  }
+  if (geochoice::obs::compiled_in()) {
+    EXPECT_EQ(count(simulated, "net.inserts"), 512);
+    EXPECT_EQ(count(simulated, "net.lookups"), 128);
+    EXPECT_EQ(count(simulated, "net.stale_reads"), 0);
+  }
 }

@@ -70,7 +70,7 @@ TEST(Serving, WindowOneZeroLatencyPlacementsBitMatchRunProcess) {
       ncfg.choices = cfg.choices;
       ncfg.seed = cfg.seed;
       ncfg.trial = trial;
-      const auto ring = gn::NetSimulator::make_ring(ncfg);
+      const auto ring = gn::make_ring(ncfg.nodes, ncfg.seed, ncfg.trial);
       const gn::ChordSuccessorSpace space(ring);
       gc::ProcessOptions opt;
       opt.num_balls = cfg.keys;

@@ -256,11 +256,6 @@ TEST(ShardedProcess, TrialsMatchSingleRuns) {
     const auto scalar = gc::run_process(space, o, gen);
     EXPECT_EQ(scalar.loads, trials[t].loads) << "trial " << t;
   }
-  const auto maxima =
-      gc::sharded_max_loads(space, o, 8, 31337, sharded(2, 64));
-  for (std::size_t t = 0; t < trials.size(); ++t) {
-    EXPECT_EQ(maxima[t], trials[t].max_load) << "trial " << t;
-  }
 }
 
 /// Routing at boundary-ULP doubles: for grids like k = 49, the double

@@ -34,23 +34,23 @@ constexpr std::uint64_t kSeed = 0x636c7573746572ULL;  // "cluster"
 /// Placement sequence of the simulator oracle: owner of insert op i,
 /// read off the executed-event trace's kPlace events.
 std::vector<std::uint32_t> oracle_placements(const net::NetConfig& cfg,
-                                             net::NetMetrics* out = nullptr) {
+                                             net::WireResult* out = nullptr) {
   net::NetConfig traced = cfg;
   traced.collect_trace = true;
-  const auto ring = net::NetSimulator::make_ring(traced);
+  const auto ring = net::make_ring(traced.nodes, traced.seed, traced.trial);
   net::NetSimulator sim(ring, traced);
-  net::NetMetrics metrics = sim.run();
+  net::WireResult result = sim.run();
   std::vector<std::uint32_t> placements(traced.insert_count(), 0);
   for (const net::TraceEvent& e : sim.trace()) {
     if (e.msg.type == net::MsgType::kPlace) {
       placements[e.msg.op] = e.msg.at;
     }
   }
-  if (out != nullptr) *out = std::move(metrics);
+  if (out != nullptr) *out = std::move(result);
   return placements;
 }
 
-net::ClusterResult run_cluster_or_skip(const net::ClusterConfig& cfg) {
+net::WireResult run_cluster_or_skip(const net::ClusterConfig& cfg) {
   try {
     return net::run_loopback_cluster(cfg);
   } catch (const std::system_error& e) {
@@ -70,7 +70,7 @@ TEST(UdpCluster, PlacementsMatchTheSimulatorOracle) {
   ccfg.driver.seed = kSeed;
   ccfg.driver.trial = 0;
 
-  net::ClusterResult real;
+  net::WireResult real;
   try {
     real = run_cluster_or_skip(ccfg);
   } catch (const std::system_error&) {
@@ -86,14 +86,14 @@ TEST(UdpCluster, PlacementsMatchTheSimulatorOracle) {
   scfg.latency = net::LatencyModel::zero();
   scfg.seed = kSeed;
   scfg.trial = 0;
-  net::NetMetrics oracle;
+  net::WireResult oracle;
   const auto expected = oracle_placements(scfg, &oracle);
 
-  ASSERT_EQ(real.report.inserts, ccfg.driver.inserts);
-  EXPECT_EQ(real.report.placements, expected);
-  EXPECT_EQ(real.report.loads, oracle.loads);
-  EXPECT_EQ(real.report.max_load, oracle.max_load);
-  EXPECT_EQ(real.malformed, 0u);
+  ASSERT_EQ(real.client.inserts, ccfg.driver.inserts);
+  EXPECT_EQ(real.client.placements, expected);
+  EXPECT_EQ(real.client.loads, oracle.client.loads);
+  EXPECT_EQ(real.client.max_load, oracle.client.max_load);
+  EXPECT_EQ(real.nodes.malformed, 0u);
 }
 
 TEST(UdpCluster, LowestIndexTieAlsoMatches) {
@@ -106,7 +106,7 @@ TEST(UdpCluster, LowestIndexTieAlsoMatches) {
   ccfg.driver.seed = kSeed;
   ccfg.driver.trial = 7;
 
-  net::ClusterResult real;
+  net::WireResult real;
   try {
     real = run_cluster_or_skip(ccfg);
   } catch (const std::system_error&) {
@@ -122,7 +122,7 @@ TEST(UdpCluster, LowestIndexTieAlsoMatches) {
   scfg.latency = net::LatencyModel::zero();
   scfg.seed = kSeed;
   scfg.trial = 7;
-  EXPECT_EQ(real.report.placements, oracle_placements(scfg));
+  EXPECT_EQ(real.client.placements, oracle_placements(scfg));
 }
 
 TEST(UdpCluster, CensusLoadsAccountForEveryInsert) {
@@ -133,20 +133,20 @@ TEST(UdpCluster, CensusLoadsAccountForEveryInsert) {
   ccfg.driver.seed = kSeed;
   ccfg.driver.trial = 1;
 
-  net::ClusterResult real;
+  net::WireResult real;
   try {
     real = run_cluster_or_skip(ccfg);
   } catch (const std::system_error&) {
     return;
   }
 
-  ASSERT_EQ(real.report.loads.size(), ccfg.nodes);
+  ASSERT_EQ(real.client.loads.size(), ccfg.nodes);
   const std::uint64_t placed = std::accumulate(
-      real.report.loads.begin(), real.report.loads.end(), std::uint64_t{0});
+      real.client.loads.begin(), real.client.loads.end(), std::uint64_t{0});
   EXPECT_EQ(placed, ccfg.driver.inserts);  // at-most-once held
-  EXPECT_EQ(real.report.lookups, ccfg.driver.lookups);
-  EXPECT_EQ(real.report.insert_latency_us_q.count(), ccfg.driver.inserts);
-  EXPECT_GT(real.links.total, 0u);
+  EXPECT_EQ(real.client.lookups, ccfg.driver.lookups);
+  EXPECT_EQ(real.client.insert_latency_us_q.count(), ccfg.driver.inserts);
+  EXPECT_GT(real.nodes.links.total, 0u);
 }
 
 TEST(UdpCluster, StoreReadsServeTheSameValuesAsTheSimulator) {
@@ -161,7 +161,7 @@ TEST(UdpCluster, StoreReadsServeTheSameValuesAsTheSimulator) {
   ccfg.driver.seed = kSeed;
   ccfg.driver.trial = 3;
 
-  net::ClusterResult real;
+  net::WireResult real;
   try {
     real = run_cluster_or_skip(ccfg);
   } catch (const std::system_error&) {
@@ -179,22 +179,22 @@ TEST(UdpCluster, StoreReadsServeTheSameValuesAsTheSimulator) {
   scfg.latency = net::LatencyModel::zero();
   scfg.seed = kSeed;
   scfg.trial = 3;
-  net::NetMetrics oracle;
+  net::WireResult oracle;
   const auto expected = oracle_placements(scfg, &oracle);
 
   // Same placements, so the same owners served the same keys; the driver
   // already threw if any get returned bytes != protocol::store_value(key).
-  EXPECT_EQ(real.report.placements, expected);
-  EXPECT_EQ(real.report.puts, ccfg.driver.inserts);
-  EXPECT_EQ(real.report.gets, ccfg.driver.store_gets);
-  EXPECT_EQ(real.report.get_misses, 0u);
-  EXPECT_EQ(oracle.get_misses, 0u);
-  EXPECT_EQ(real.report.puts, oracle.puts);
-  EXPECT_EQ(real.report.gets, oracle.gets);
+  EXPECT_EQ(real.client.placements, expected);
+  EXPECT_EQ(real.client.puts, ccfg.driver.inserts);
+  EXPECT_EQ(real.client.gets, ccfg.driver.store_gets);
+  EXPECT_EQ(real.client.get_misses, 0u);
+  EXPECT_EQ(oracle.client.get_misses, 0u);
+  EXPECT_EQ(real.client.puts, oracle.client.puts);
+  EXPECT_EQ(real.client.gets, oracle.client.gets);
   // Every inserted key holds exactly one value somewhere in the cluster.
-  EXPECT_EQ(real.keys_stored, ccfg.driver.inserts);
-  EXPECT_EQ(real.report.get_latency_us_q.count(), ccfg.driver.store_gets);
-  EXPECT_EQ(real.malformed, 0u);
+  EXPECT_EQ(real.nodes.keys_stored, ccfg.driver.inserts);
+  EXPECT_EQ(real.client.get_latency_us_q.count(), ccfg.driver.store_gets);
+  EXPECT_EQ(real.nodes.malformed, 0u);
 }
 
 TEST(UdpCluster, TraceRecorderSeesRealDatagramLifecycles) {
@@ -206,13 +206,13 @@ TEST(UdpCluster, TraceRecorderSeesRealDatagramLifecycles) {
   obs::TraceRecorder rec;
   ccfg.driver.trace = &rec;
 
-  net::ClusterResult real;
+  net::WireResult real;
   try {
     real = run_cluster_or_skip(ccfg);
   } catch (const std::system_error&) {
     return;
   }
-  ASSERT_EQ(real.report.inserts, ccfg.driver.inserts);
+  ASSERT_EQ(real.client.inserts, ccfg.driver.inserts);
   if (!obs::compiled_in()) {
     EXPECT_EQ(rec.size(), 0u);
     return;
@@ -246,27 +246,27 @@ TEST(UdpCluster, Window32ServesEveryOp) {
   ccfg.driver.seed = kSeed;
   ccfg.driver.trial = 5;
 
-  net::ClusterResult real;
+  net::WireResult real;
   try {
     real = run_cluster_or_skip(ccfg);
   } catch (const std::system_error&) {
     return;
   }
-  ASSERT_EQ(real.report.inserts, ccfg.driver.inserts);
-  ASSERT_EQ(real.report.loads.size(), ccfg.nodes);
+  ASSERT_EQ(real.client.inserts, ccfg.driver.inserts);
+  ASSERT_EQ(real.client.loads.size(), ccfg.nodes);
   const std::uint64_t placed = std::accumulate(
-      real.report.loads.begin(), real.report.loads.end(), std::uint64_t{0});
+      real.client.loads.begin(), real.client.loads.end(), std::uint64_t{0});
   EXPECT_EQ(placed, ccfg.driver.inserts);
-  EXPECT_EQ(real.report.puts, ccfg.driver.inserts);
-  EXPECT_EQ(real.report.gets, ccfg.driver.store_gets);
-  EXPECT_EQ(real.report.get_misses, 0u);
-  EXPECT_EQ(real.keys_stored, ccfg.driver.inserts);
-  EXPECT_EQ(real.malformed, 0u);
+  EXPECT_EQ(real.client.puts, ccfg.driver.inserts);
+  EXPECT_EQ(real.client.gets, ccfg.driver.store_gets);
+  EXPECT_EQ(real.client.get_misses, 0u);
+  EXPECT_EQ(real.nodes.keys_stored, ccfg.driver.inserts);
+  EXPECT_EQ(real.nodes.malformed, 0u);
   const std::uint64_t frames_written =
-      real.links.total - real.self_delivered;
-  EXPECT_GT(real.self_delivered, 0u);
-  EXPECT_LT(real.send_calls, frames_written);  // bundles were written
-  EXPECT_LT(real.recv_calls, real.datagrams_in);  // ... and read whole
+      real.nodes.links.total - real.nodes.self_delivered;
+  EXPECT_GT(real.nodes.self_delivered, 0u);
+  EXPECT_LT(real.nodes.send_calls, frames_written);  // bundles were written
+  EXPECT_LT(real.nodes.recv_calls, real.nodes.datagrams_in);  // ... read whole
 }
 
 TEST(UdpCluster, SingleNodeClusterServesItself) {
@@ -275,15 +275,15 @@ TEST(UdpCluster, SingleNodeClusterServesItself) {
   ccfg.driver.inserts = 8;
   ccfg.driver.seed = kSeed;
 
-  net::ClusterResult real;
+  net::WireResult real;
   try {
     real = run_cluster_or_skip(ccfg);
   } catch (const std::system_error&) {
     return;
   }
-  ASSERT_EQ(real.report.loads.size(), 1u);
-  EXPECT_EQ(real.report.loads[0], 8u);
-  EXPECT_EQ(real.report.max_load, 8u);
+  ASSERT_EQ(real.client.loads.size(), 1u);
+  EXPECT_EQ(real.client.loads[0], 8u);
+  EXPECT_EQ(real.client.max_load, 8u);
 }
 
 }  // namespace
