@@ -86,7 +86,8 @@ int main(int argc, char** argv) {
     if (r.max_load == 0) std::abort();
   }));
   ms.push_back(measure("BM_BatchProcessRing/batched", n, warmup, reps, [&] {
-    const auto r = gc::run_batch_process(ring, opt, gen, batch, &ring_scratch);
+    const auto r = gc::run_batch_process(ring, opt, gen, batch, nullptr,
+                                         &ring_scratch);
     if (r.max_load == 0) std::abort();
   }));
   ms.push_back(measure("BM_ProcessPerBallUniform/scalar", n, warmup, reps, [&] {
@@ -95,7 +96,8 @@ int main(int argc, char** argv) {
   }));
   ms.push_back(measure("BM_BatchProcessUniform/batched", n, warmup, reps, [&] {
     const auto r =
-        gc::run_batch_process(uniform, opt, gen, batch, &uniform_scratch);
+        gc::run_batch_process(uniform, opt, gen, batch, nullptr,
+                              &uniform_scratch);
     if (r.max_load == 0) std::abort();
   }));
   ms.push_back(measure("BM_ProcessPerBallTorus/scalar", torus_opt.num_balls,
@@ -106,7 +108,8 @@ int main(int argc, char** argv) {
   ms.push_back(measure("BM_BatchProcessTorus/batched", torus_opt.num_balls,
                        warmup, reps, [&] {
                          const auto r = gc::run_batch_process(
-                             torus, torus_opt, gen, batch, &torus_scratch);
+                             torus, torus_opt, gen, batch, nullptr,
+                             &torus_scratch);
                          if (r.max_load == 0) std::abort();
                        }));
 
@@ -131,7 +134,7 @@ int main(int argc, char** argv) {
                 "  \"config\": {\"n\": %llu, \"m\": %llu, \"d\": 2, "
                 "\"tie\": \"random\", \"block_size\": %zu, \"quick\": %s},\n",
                 static_cast<unsigned long long>(n),
-                static_cast<unsigned long long>(n), batch.block_size,
+                static_cast<unsigned long long>(n), batch.block_balls(false),
                 quick ? "true" : "false");
   json += cfg;
   json += "  \"results\": [\n";

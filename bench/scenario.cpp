@@ -14,13 +14,12 @@
 //
 // Matrix mode:
 //   scenario --matrix [--quick]
-// runs every (engine × space) cell at small sizes, checks that every
-// supported combination produces a full histogram, that unsupported
-// combinations are rejected with std::invalid_argument, and that the
-// batched/sharded engines reproduce the scalar histogram bit-for-bit
-// under a deterministic tie-break. Exits nonzero on any deviation —
-// this is the CI gate for the dispatch table. --quick shrinks sizes to
-// CI-smoke scale (it is the mode CI runs in both compilers).
+// runs every (engine × space) cell at small sizes, checks that every cell
+// produces a full histogram and that the batched/sharded engines
+// reproduce the scalar histogram bit-for-bit under a deterministic
+// tie-break. Exits nonzero on any deviation — this is the CI gate for the
+// dispatch table. --quick shrinks sizes to CI-smoke scale (it is the mode
+// CI runs in both compilers).
 //
 // Obs-overhead bench mode:
 //   scenario --bench-obs [--out FILE] [--quick]
@@ -68,11 +67,11 @@ int run_matrix(bool quick) {
   for (const auto engine : kConcreteEngines) {
     std::printf(" %12s", std::string(gm::to_string(engine)).c_str());
   }
-  std::printf("   (mean max load; '-' = unsupported)\n");
+  std::printf("   (mean max load)\n");
 
   for (const auto space : kAllSpaces) {
     std::printf("%-10s", std::string(gm::to_string(space)).c_str());
-    // The deterministic tie-break makes supported engines bit-comparable
+    // The deterministic tie-break makes the engines bit-comparable
     // cell-to-cell, so the matrix checks semantics, not just liveness.
     gm::Scenario cell = base;
     cell.space = space;
@@ -80,22 +79,6 @@ int run_matrix(bool quick) {
     geochoice::stats::IntHistogram reference;
     for (const auto engine : kConcreteEngines) {
       cell.engine = engine;
-      if (!gm::engine_supports(engine, space)) {
-        bool rejected = false;
-        try {
-          (void)gm::run(cell);
-        } catch (const std::invalid_argument&) {
-          rejected = true;
-        }
-        if (!rejected) {
-          std::printf("\nFAIL: %s × %s should be rejected but ran\n",
-                      std::string(gm::to_string(engine)).c_str(),
-                      std::string(gm::to_string(space)).c_str());
-          ++failures;
-        }
-        std::printf(" %12s", "-");
-        continue;
-      }
       try {
         const auto report = gm::run(cell);
         if (report.max_load.total() != cell.trials) {
@@ -221,7 +204,14 @@ int main(int argc, char** argv) {
   gm::Scenario sc;
   std::string csv_path, json_path;
   if (!matrix) {
-    sc = gm::scenario_from_args(args);
+    // A flag value the parser rejects (not a number, or past its field's
+    // range) is a usage error, like a spec sim::run rejects: exit 2.
+    try {
+      sc = gm::scenario_from_args(args);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "scenario: %s\n", e.what());
+      return 2;
+    }
     csv_path = args.get_string("csv", "");
     json_path = args.get_string("json", "");
   }

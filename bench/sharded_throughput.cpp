@@ -1,11 +1,13 @@
-// sharded_throughput — single-trial throughput of the three engines.
+// sharded_throughput — single-trial throughput of the engines.
 //
-// The batched engine (BENCH_batch.json) caps a single allocation at one
-// core; this bench measures what the sharded engine buys on top: ring
-// sharded-vs-batched balls/sec across a thread sweep, and the torus batch
-// path (3x3 padded-row scan) against the scalar oracle. Writes
-// machine-readable BENCH_sharded.json for the perf-gate / trajectory
-// tracking.
+// On one thread the batched engine (BENCH_batch.json) caps a single
+// allocation at one core; this bench measures what a thread pool buys on
+// top (the "sharded" rows: run_batch_process resolving each block's owners
+// in contiguous slices on the pool's workers while the calling thread
+// samples and places): pooled-vs-batched balls/sec on the ring and the
+// torus across a thread sweep, and the torus batch path (3x3 padded-row
+// scan) against the scalar oracle. Writes machine-readable
+// BENCH_sharded.json for the perf-gate / trajectory tracking.
 //
 // Usage: sharded_throughput [--out FILE] [--n N] [--m M] [--quick]
 //   --out FILE   JSON output path (default BENCH_sharded.json)
@@ -20,7 +22,8 @@
 // run, so the ratios hold steady where back-to-back median-of-reps blocks
 // (one engine's reps, then the next's) drifted apart with the host.
 //
-// The thread sweep covers {1, 2, 4} plus hardware_concurrency when larger;
+// The thread sweep (pool workers) covers {1, 2, 4} plus
+// hardware_concurrency when larger, one pool each, built before timing;
 // "hw_threads" in the JSON says how many cores actually backed the run —
 // on a 1-core box the multi-thread rows measure oversubscription, not
 // speedup, so downstream gates should read them together with hw_threads.
@@ -30,12 +33,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
 #include "core/core.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 #include "sim/cli.hpp"
 #include "spaces/spaces.hpp"
@@ -123,31 +128,33 @@ int main(int argc, char** argv) {
   torus_opt.num_balls = torus_m;
 
   gr::DefaultEngine gen(42);
-  gc::BatchScratch<double> ring_bscratch;
-  gc::BatchScratch<geochoice::geometry::Vec2> torus_bscratch;
-  gc::ShardedScratch<double> ring_sscratch;
-  gc::ShardedScratch<geochoice::geometry::Vec2> torus_sscratch;
+  gc::BatchScratch<double> ring_scratch;
+  gc::BatchScratch<geochoice::geometry::Vec2> torus_scratch;
+  std::vector<std::unique_ptr<geochoice::parallel::ThreadPool>> pools;
+  for (const std::size_t t : sweep) {
+    pools.push_back(std::make_unique<geochoice::parallel::ThreadPool>(t));
+  }
 
-  // --- ring: batched baseline, then the sharded engine across threads.
+  // --- ring: batched baseline, then the engine on a pool across threads.
   std::vector<Leg> ring_legs;
   ring_legs.push_back({"RingBatch/batched", 0, m, [&] {
                          const auto r = gc::run_batch_process(
-                             ring, opt, gen, {}, &ring_bscratch);
+                             ring, opt, gen, {}, nullptr, &ring_scratch);
                          if (r.max_load == 0) std::abort();
                        }});
-  for (const std::size_t t : sweep) {
-    gc::ShardedOptions so;
-    so.threads = t;
-    ring_legs.push_back({"RingSharded/t" + std::to_string(t), t, m, [&, so] {
-                           const auto r = gc::run_sharded_process(
-                               ring, opt, gen, so, nullptr, &ring_sscratch);
-                           if (r.max_load == 0) std::abort();
-                         }});
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    geochoice::parallel::ThreadPool* const pool = pools[i].get();
+    ring_legs.push_back(
+        {"RingSharded/t" + std::to_string(sweep[i]), sweep[i], m, [&, pool] {
+           const auto r = gc::run_batch_process(ring, opt, gen, {}, pool,
+                                                &ring_scratch);
+           if (r.max_load == 0) std::abort();
+         }});
   }
   const std::vector<Measurement> ring_ms =
       measure_interleaved(ring_legs, rounds);
 
-  // --- torus: scalar oracle vs batched (3x3 padded-row scan) vs sharded.
+  // --- torus: scalar oracle vs batched (3x3 padded-row scan) vs pooled.
   std::vector<Leg> torus_legs;
   torus_legs.push_back({"TorusScalar/scalar", 0, torus_m, [&] {
                           const auto r = gc::run_process(torus, torus_opt, gen);
@@ -155,16 +162,17 @@ int main(int argc, char** argv) {
                         }});
   torus_legs.push_back({"TorusBatch/batched", 0, torus_m, [&] {
                           const auto r = gc::run_batch_process(
-                              torus, torus_opt, gen, {}, &torus_bscratch);
+                              torus, torus_opt, gen, {}, nullptr,
+                              &torus_scratch);
                           if (r.max_load == 0) std::abort();
                         }});
-  for (const std::size_t t : sweep) {
-    gc::ShardedOptions so;
-    so.threads = t;
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    geochoice::parallel::ThreadPool* const pool = pools[i].get();
     torus_legs.push_back(
-        {"TorusSharded/t" + std::to_string(t), t, torus_m, [&, so] {
-           const auto r = gc::run_sharded_process(torus, torus_opt, gen, so,
-                                                  nullptr, &torus_sscratch);
+        {"TorusSharded/t" + std::to_string(sweep[i]), sweep[i], torus_m,
+         [&, pool] {
+           const auto r = gc::run_batch_process(torus, torus_opt, gen, {},
+                                                pool, &torus_scratch);
            if (r.max_load == 0) std::abort();
          }});
   }

@@ -6,7 +6,6 @@
 #include "core/batch_process.hpp"    // IWYU pragma: export
 #include "core/process.hpp"          // IWYU pragma: export
 #include "core/result.hpp"           // IWYU pragma: export
-#include "core/sharded_process.hpp"  // IWYU pragma: export
 #include "core/supermarket.hpp"      // IWYU pragma: export
 #include "core/theory.hpp"           // IWYU pragma: export
 #include "core/tie_breaking.hpp"     // IWYU pragma: export

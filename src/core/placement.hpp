@@ -1,19 +1,19 @@
-// placement.hpp — the sequential placement pass shared by the batched and
-// sharded engines.
+// placement.hpp — the batched engine's sequential placement pass.
 //
-// Both engines end every block the same way: walk the resolved (ball, bin)
-// pairs in arrival order and replay the scalar loop's least-loaded /
-// tie-break comparisons, prefetching upcoming load slots. Keeping that walk
-// in one function is what makes the "bit-identical to run_process for
-// deterministic tie-breaks" guarantee a property of a single piece of code
-// instead of three hand-synchronized copies.
+// Every block ends the same way, with or without a thread pool: walk the
+// resolved (ball, bin) pairs in arrival order and replay the scalar loop's
+// least-loaded / tie-break comparisons, prefetching upcoming load slots.
+// Keeping that walk in one function, called from both block loops, is
+// what makes the "bit-identical to run_process for deterministic
+// tie-breaks" guarantee a property of a single piece of code.
 //
-// Placement is deliberately sequential even in the sharded engine: a ball's
-// decision reads the loads its probes hit *at that ball's arrival time*, and
-// with d independent probes a fraction ~(1 - 1/k) of balls straddle two of k
-// shards, so any per-shard commit order would either diverge from the scalar
-// semantics or serialize on cross-shard traffic anyway. The parallel wins
-// live in the passes that feed this one (sampling, owner resolution).
+// Placement is deliberately sequential even when a pool resolves owners: a
+// ball's decision reads the loads its probes hit *at that ball's arrival
+// time*, and with d independent probes a fraction ~(1 - 1/k) of balls
+// straddle two of k parts of any split of the bins, so a per-part commit
+// order would either diverge from the scalar semantics or serialize on
+// cross-part traffic anyway. The parallel wins live in the pass that feeds
+// this one (owner resolution).
 #pragma once
 
 #include <cstddef>

@@ -48,11 +48,10 @@ enum class StreamPurpose : std::uint64_t {
 }
 
 /// Split a running engine: consume exactly one draw of `gen` and expand it
-/// into an independent engine for `purpose`. The sharded engine uses this to
-/// move tie-break randomness out of the location stream — the location draws
-/// stay contiguous (so deterministic tie-breaks replay the scalar stream
-/// bit-for-bit) while kRandom ties get their own substream, making results
-/// independent of block, shard, and thread counts.
+/// into an independent engine for `purpose`. The batched engine uses this to
+/// move kRandom tie-break randomness out of the location stream: the
+/// location draws stay contiguous, so its results do not depend on the
+/// block size or the thread pool.
 [[nodiscard]] inline DefaultEngine derive_substream(
     DefaultEngine& gen, StreamPurpose purpose) noexcept {
   return DefaultEngine(

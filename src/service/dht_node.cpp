@@ -39,7 +39,6 @@
 // the same line immediately (servers and the driver both install it).
 // The cluster report ends with the driver node's same counters.
 #include <cerrno>
-#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -123,15 +122,6 @@ void check_stats(const net::UdpTransport& transport,
     print("heartbeat");
     next_beat_ms += opt.heartbeat_ms;
   }
-}
-
-/// False, after saying why on stderr, when --`flag`'s value exceeds `max`.
-bool fits(const char* flag, std::uint64_t value, std::uint64_t max) {
-  if (value <= max) return true;
-  std::fprintf(stderr, "dht_node: --%s=%llu does not fit (max %llu)\n", flag,
-               static_cast<unsigned long long>(value),
-               static_cast<unsigned long long>(max));
-  return false;
 }
 
 std::vector<net::Endpoint> make_peers(const Options& opt) {
@@ -322,7 +312,7 @@ int main(int argc, char** argv) {
     const bool cluster = args.has("cluster");
     opt.nodes = cluster ? args.get_u64("cluster", opt.nodes)
                         : args.get_u64("nodes", opt.nodes);
-    const std::uint64_t id = args.get_u64("id", 0);
+    opt.id = args.get_int("id", opt.id);
     const std::uint64_t port_base = args.get_u64("port-base", opt.port_base);
     opt.seed = args.get_u64("seed", opt.seed);
     opt.trial = args.get_u64("trial", opt.trial);
@@ -330,8 +320,8 @@ int main(int argc, char** argv) {
     opt.lookups = args.get_u64("lookups", opt.lookups);
     opt.gets = args.get_u64("gets", opt.gets);
     opt.zipf = args.get_double("zipf", opt.zipf);
-    const std::uint64_t choices = args.get_u64("choices", 2);
-    const std::uint64_t window = args.get_u64("window", 1);
+    opt.choices = args.get_int("choices", opt.choices);
+    opt.window = args.get_int("window", opt.window);
     opt.tie = core::tie_break_from_string(args.get_string("tie", "first"));
     opt.retransmit_ms = args.get_u64("retransmit-ms", opt.retransmit_ms);
     opt.timeout_ms = args.get_u64("timeout-ms", opt.timeout_ms);
@@ -344,10 +334,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "dht_node: need at least one node\n");
       return 2;
     }
-    if (!fits("id", id, UINT32_MAX) || !fits("window", window, UINT32_MAX) ||
-        !fits("choices", choices, INT_MAX)) {
-      return 2;
-    }
     // Node i binds port-base + i: every node's port must be in [1, 65535].
     if (port_base == 0 || port_base > 65535 || opt.nodes > 65536 - port_base) {
       std::fprintf(stderr,
@@ -356,10 +342,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(port_base), opt.nodes);
       return 2;
     }
-    opt.id = static_cast<std::uint32_t>(id);
     opt.port_base = static_cast<std::uint16_t>(port_base);
-    opt.choices = static_cast<int>(choices);
-    opt.window = static_cast<std::uint32_t>(window);
     if (opt.id >= opt.nodes) {
       std::fprintf(stderr, "dht_node: --id must be < --nodes\n");
       return 2;

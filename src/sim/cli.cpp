@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <stdexcept>
+#include <string>
 
 namespace geochoice::sim {
 
@@ -62,10 +63,9 @@ bool ArgParser::has(std::string_view flag) const {
   return raw(flag) != nullptr;
 }
 
-std::uint64_t ArgParser::get_u64(std::string_view flag,
-                                 std::uint64_t fallback) const {
+std::optional<std::uint64_t> ArgParser::u64_of(std::string_view flag) const {
   const auto v = value_of(flag, /*reject_empty=*/true);
-  if (!v) return fallback;
+  if (!v) return std::nullopt;
   std::uint64_t out = 0;
   const auto [ptr, ec] = std::from_chars(v->data(), v->data() + v->size(),
                                          out);
@@ -74,6 +74,18 @@ std::uint64_t ArgParser::get_u64(std::string_view flag,
                                 ": not an integer: " + *v);
   }
   return out;
+}
+
+void ArgParser::throw_out_of_range(std::string_view flag, std::uint64_t value,
+                                   std::uint64_t max) {
+  throw std::invalid_argument("flag " + std::string(flag) + ": " +
+                              std::to_string(value) + " is out of range (max " +
+                              std::to_string(max) + ")");
+}
+
+std::uint64_t ArgParser::get_u64(std::string_view flag,
+                                 std::uint64_t fallback) const {
+  return u64_of(flag).value_or(fallback);
 }
 
 double ArgParser::get_double(std::string_view flag, double fallback) const {

@@ -11,9 +11,14 @@
 // and every value getter returns its fallback. `--flag=` is an
 // *explicit empty value*: get_string returns "" (not the fallback), and
 // the numeric getters throw, because an empty string is not a number.
+//
+// Narrow integer flags go through get_int<T>, which throws when the value
+// does not fit in T instead of wrapping it into a different one.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -33,6 +38,17 @@ class ArgParser {
 
   [[nodiscard]] std::uint64_t get_u64(std::string_view flag,
                                       std::uint64_t fallback) const;
+  /// A non-negative integer flag read into T: throws std::invalid_argument
+  /// when the value exceeds T's maximum (or is not a non-negative integer).
+  template <std::integral T>
+  [[nodiscard]] T get_int(std::string_view flag, T fallback) const {
+    const auto v = u64_of(flag);
+    if (!v) return fallback;
+    constexpr auto kMax =
+        static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    if (*v > kMax) throw_out_of_range(flag, *v, kMax);
+    return static_cast<T>(*v);
+  }
   [[nodiscard]] double get_double(std::string_view flag,
                                   double fallback) const;
   [[nodiscard]] std::string get_string(std::string_view flag,
@@ -61,6 +77,13 @@ class ArgParser {
   /// Throws for `--flag=` when `reject_empty` (numeric getters).
   [[nodiscard]] std::optional<std::string> value_of(std::string_view flag,
                                                     bool reject_empty) const;
+  /// The flag's value as a u64, or nullopt for absent flags and bare
+  /// booleans. Throws when the value is not a non-negative integer.
+  [[nodiscard]] std::optional<std::uint64_t> u64_of(
+      std::string_view flag) const;
+  [[noreturn]] static void throw_out_of_range(std::string_view flag,
+                                              std::uint64_t value,
+                                              std::uint64_t max);
 
   std::string program_;
   std::map<std::string, Entry, std::less<>> values_;

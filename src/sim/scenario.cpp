@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/batch_process.hpp"
-#include "core/sharded_process.hpp"
 #include "dht/chord.hpp"
 #include "net/chord_space.hpp"
 #include "net/cluster.hpp"
@@ -110,12 +109,6 @@ WireTransport wire_transport_from_string(std::string_view name) {
   throw std::invalid_argument("unknown wire transport: " + std::string(name));
 }
 
-bool engine_supports(Engine engine, SpaceKind space) noexcept {
-  if (engine != Engine::kSharded) return true;
-  return space == SpaceKind::kRing || space == SpaceKind::kTorus ||
-         space == SpaceKind::kUniform;
-}
-
 namespace {
 
 [[nodiscard]] std::size_t resolve_threads(std::size_t threads) noexcept {
@@ -132,12 +125,11 @@ Engine resolve_engine(const Scenario& sc) noexcept {
       sc.space == SpaceKind::kRing || sc.space == SpaceKind::kTorus;
   if (!geometric_bulk) return Engine::kScalar;
   const std::uint64_t m = sc.balls();
-  // Sharding pays only for the torus, whose owner search dominates a
-  // ball, and only for a lone trial, which leaves the trial pool's other
-  // threads idle. At n = 2^16, m = 2^22 on 4 threads it wins at 1 trial,
-  // ties at 2 and loses at 4; on the ring it never clearly wins (README's
-  // engine guide has the times).
-  if (sc.space == SpaceKind::kTorus && m >= (1ull << 22) && sc.trials == 1 &&
+  // The in-trial pool pays when one or two trials would leave most of the
+  // trial pool's threads idle. At n = 2^16, m = 2^22 on 4 threads it wins
+  // at one and two trials on both spaces; on the torus it is a toss-up at
+  // three and loses at four (README's engine guide has the times).
+  if (m >= (1ull << 22) && sc.trials <= 2 &&
       resolve_threads(sc.threads) >= 4) {
     return Engine::kSharded;
   }
@@ -179,36 +171,19 @@ const net::ChordSuccessorSpace& space_of(const ChordNetBox& b) {
   return b.space;
 }
 
-/// Run one trial's balls through the resolved engine. The ball stream is
-/// shared across engines, which is what makes deterministic-tie results
-/// bit-identical engine-to-engine.
+/// Run one trial's balls through the resolved engine: the scalar oracle,
+/// or the batched engine on `pool` (the run's pool under kSharded, none
+/// under kBatched). The ball stream is shared across engines, which is
+/// what makes deterministic-tie results bit-identical engine-to-engine.
 template <typename S>
 std::uint32_t drive_engine(const S& space, Engine engine,
                            const core::ProcessOptions& opt,
                            rng::DefaultEngine& balls,
-                           const Scenario& sc,
                            parallel::ThreadPool* pool) {
-  switch (engine) {
-    case Engine::kScalar:
-      return core::run_process(space, opt, balls).max_load;
-    case Engine::kBatched:
-      return core::run_batch_process(space, opt, balls).max_load;
-    case Engine::kSharded:
-      if constexpr (core::ShardableSpace<S>) {
-        core::ShardedOptions sharded;
-        sharded.threads = sc.threads;
-        return core::run_sharded_process(space, opt, balls, sharded, pool)
-            .max_load;
-      } else {
-        // Unreachable: run() validates engine_supports() up front. Kept
-        // as a throw so a future dispatch-table gap fails loudly instead
-        // of instantiating run_sharded_process on a non-shardable space.
-        throw std::logic_error("sharded engine on non-shardable space");
-      }
-    case Engine::kAuto:
-      break;
+  if (engine == Engine::kScalar) {
+    return core::run_process(space, opt, balls).max_load;
   }
-  throw std::logic_error("drive_engine: unresolved engine");
+  return core::run_batch_process(space, opt, balls, {}, pool).max_load;
 }
 
 /// Execute all trials for one concrete space type. `make_space(trial,
@@ -229,7 +204,7 @@ std::vector<TrialOutcome> run_trials_with(const Scenario& sc, Engine engine,
     const auto t0 = Clock::now();
     const auto box = make_space(trial, servers);
     const std::uint32_t max_load =
-        drive_engine(space_of(box), engine, opt, balls, sc, pool);
+        drive_engine(space_of(box), engine, opt, balls, pool);
     const auto t1 = Clock::now();
     if (obs::enabled()) {
       // Per-thread sinks: safe from the trial pool's worker threads.
@@ -243,9 +218,9 @@ std::vector<TrialOutcome> run_trials_with(const Scenario& sc, Engine engine,
 
   if (engine == Engine::kSharded) {
     // Few-huge-trials regime: trials run back-to-back, each spreading its
-    // resolve pass over one shared worker pool (run_sharded_trials's
-    // pattern). Results are still indexed by trial, so the report is
-    // identical in shape to the parallel-trials path.
+    // resolve pass over one shared worker pool. Results are still indexed
+    // by trial, so the report is identical in shape to the parallel-trials
+    // path.
     parallel::ThreadPool pool(sc.threads);
     std::vector<TrialOutcome> out(sc.trials);
     for (std::uint64_t t = 0; t < sc.trials; ++t) out[t] = one_trial(t, &pool);
@@ -273,9 +248,8 @@ std::vector<TrialOutcome> run_torus_nd(const Scenario& sc, Engine engine,
 }
 
 /// The space registry: kind -> factory, engine threaded through. Adding a
-/// space means adding a case here (and a capability row in
-/// engine_supports if it cannot shard) — nothing else in the harness or
-/// the binaries changes.
+/// space means adding a case here — nothing else in the harness or the
+/// binaries changes.
 std::vector<TrialOutcome> run_space(const Scenario& sc, Engine engine,
                                     std::uint64_t measure_samples) {
   switch (sc.space) {
@@ -333,7 +307,7 @@ std::vector<TrialOutcome> run_space(const Scenario& sc, Engine engine,
 /// rethrows first). Wire runs route on the Chord ring and draw independent
 /// candidates; the simulated transport needs a valid latency model (the
 /// real one pays the kernel's).
-void validate(const Scenario& sc, Engine engine) {
+void validate(const Scenario& sc) {
   if (sc.trials == 0) throw std::invalid_argument("run: zero trials");
   if (sc.num_servers == 0) throw std::invalid_argument("run: zero servers");
   if (sc.num_choices < 1) {
@@ -361,12 +335,6 @@ void validate(const Scenario& sc, Engine engine) {
     if (sc.window < 1) throw std::invalid_argument("run: window must be >= 1");
     if (sc.transport == WireTransport::kSim) sc.latency.validate();
     return;
-  }
-  if (!engine_supports(engine, sc.space)) {
-    throw std::invalid_argument(
-        "run: the sharded engine needs a shard_of() partition "
-        "(ring/torus/uniform); space '" +
-        std::string(to_string(sc.space)) + "' has none");
   }
   if (sc.scheme == core::ChoiceScheme::kPartitioned &&
       sc.space != SpaceKind::kRing && sc.space != SpaceKind::kChordNet) {
@@ -534,7 +502,7 @@ void write_trace_file(const obs::TraceRecorder& rec, const std::string& path) {
 RunReport run_wire(const Scenario& sc) {
   // Wire runs have no structural engine; echo kScalar so the resolved
   // spec is concrete (never kAuto) and reruns cleanly.
-  validate(sc, Engine::kScalar);
+  validate(sc);
   RunReport report = resolved_report(sc, Engine::kScalar);
 
   // One recorder serves both transports: a trial is single-threaded at
@@ -565,8 +533,8 @@ RunReport run_wire(const Scenario& sc) {
 }
 
 RunReport run_structural(const Scenario& sc) {
+  validate(sc);
   const Engine engine = resolve_engine(sc);
-  validate(sc, engine);
   const std::uint64_t measure_samples =
       sc.measure_samples != 0 ? sc.measure_samples : 64 * sc.num_servers;
 
@@ -631,8 +599,7 @@ Scenario scenario_from_args(const ArgParser& args, Scenario defaults) {
   if (sizes.empty()) throw std::invalid_argument("flag n: empty list");
   sc.num_servers = sizes.front();
   sc.num_balls = args.get_u64("m", sc.num_balls);
-  sc.num_choices = static_cast<int>(
-      args.get_u64("d", static_cast<std::uint64_t>(sc.num_choices)));
+  sc.num_choices = args.get_int("d", sc.num_choices);
   sc.tie = core::tie_break_from_string(
       args.get_string("tie", std::string(core::to_string(sc.tie))));
   {
@@ -650,8 +617,7 @@ Scenario scenario_from_args(const ArgParser& args, Scenario defaults) {
   sc.trials = args.get_u64("trials", sc.trials);
   sc.seed = args.get_u64("seed", sc.seed);
   sc.threads = args.get_u64("threads", sc.threads);
-  sc.torus_dims = static_cast<int>(
-      args.get_u64("dims", static_cast<std::uint64_t>(sc.torus_dims)));
+  sc.torus_dims = args.get_int("dims", sc.torus_dims);
   sc.zipf_alpha = args.get_double("alpha", sc.zipf_alpha);
   sc.measure_samples = args.get_u64("measure-samples", sc.measure_samples);
   sc.model = exec_model_from_string(
@@ -662,8 +628,7 @@ Scenario scenario_from_args(const ArgParser& args, Scenario defaults) {
       "latency", std::string(net::to_string(sc.latency.kind))));
   sc.latency.a = args.get_double("lat-a", sc.latency.a);
   sc.latency.b = args.get_double("lat-b", sc.latency.b);
-  sc.window = static_cast<std::uint32_t>(
-      args.get_u64("window", static_cast<std::uint64_t>(sc.window)));
+  sc.window = args.get_int("window", sc.window);
   sc.lookups = args.get_u64("lookups", sc.lookups);
   if (args.has("obs")) sc.obs = true;
   sc.trace_out = args.get_string("trace-out", sc.trace_out);

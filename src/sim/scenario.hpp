@@ -3,7 +3,7 @@
 // A sim::Scenario declares a complete max-load experiment — which space,
 // which engine, n/m/d, tie-break, trials, seed, reporting knobs — and
 // sim::run(scenario) executes it and returns a RunReport. The same spec
-// reaches all three allocation engines (scalar / batched / sharded) and
+// reaches every engine (scalar, batched, and batched on a thread pool) on
 // all six spaces (ring, torus, n-d torus, uniform, weighted, Chord
 // successor ownership), so a new workload is a field value, not a new
 // binary with its own engine × space switch.
@@ -13,10 +13,11 @@
 //     substream and runs balls on (seed, t, kBallChoices), so the scalar
 //     engine reproduces every pinned golden histogram.
 //   * For deterministic tie-breaks (kFirstChoice, kLowestIndex, the
-//     region strategies) all three engines consume the ball stream
+//     region strategies) every engine consumes the ball stream
 //     identically, so RunReport::max_load is bit-identical across
 //     engines (pinned by tests/test_scenario.cpp's equivalence matrix).
-//     TieBreak::kRandom is equal in distribution across engines.
+//     Under TieBreak::kRandom kBatched and kSharded are bit-identical, and
+//     equal to kScalar in distribution.
 //   * Results are invariant to thread count for every engine.
 //
 // Engine::kAuto picks by space capability, ball count, trial count, and
@@ -63,7 +64,8 @@ enum class SpaceKind {
 enum class Engine {
   kScalar,   // core::run_process — the reference oracle
   kBatched,  // core::run_batch_process — sample/resolve/place blocks
-  kSharded,  // core::run_sharded_process — intra-trial parallelism
+  kSharded,  // core::run_batch_process on the run's thread pool: one
+             // trial at a time, each block's owners resolved in parallel
   kAuto,     // pick by space + m + trials + threads (resolve_engine)
 };
 
@@ -256,26 +258,23 @@ struct RunReport {
   }
 };
 
-/// True when `engine` can drive `space`. kSharded needs a shard_of()
-/// partition hook (ring, torus, uniform); kScalar/kBatched run
-/// everything; kAuto is always valid (it only picks supported engines).
-[[nodiscard]] bool engine_supports(Engine engine, SpaceKind space) noexcept;
-
-/// The engine kAuto resolves to: kSharded for a single huge torus trial
-/// (trials == 1, m >= 2^22) when >= 4 threads are available, kBatched for
-/// ring/torus at m >= 4096 (measured 5x / 2.3x scalar), kScalar otherwise
-/// (uniform has no owner lookup to batch; the remaining spaces have no
-/// bulk kernels). Depends on hardware_concurrency only through the
-/// kSharded rule when spec.threads == 0.
+/// The engine kAuto resolves to, on the ring and the torus: kSharded (the
+/// batched engine resolving each block on a pool of spec.threads workers)
+/// for one or two huge trials (trials <= 2, m >= 2^22) when >= 4 threads
+/// are available, kBatched at m >= 4096 (measured 5x / 2.3x scalar), else
+/// kScalar. The other spaces resolve to kScalar (uniform has no owner
+/// lookup to batch; the rest have no bulk kernels). Depends on
+/// hardware_concurrency only through the kSharded rule when
+/// spec.threads == 0.
 [[nodiscard]] Engine resolve_engine(const Scenario& sc) noexcept;
 
 /// Execute the scenario: trials in parallel for scalar/batched and
 /// sim-transport wire runs (thread-count invariant), sequential trials
 /// with an intra-trial worker pool for sharded, and one after another for
 /// udp-transport wire runs. Throws std::invalid_argument on unrunnable
-/// specs (zero trials/servers, d < 1, unsupported engine × space,
-/// partitioned sampling off the ring, bad dims/quantiles, a wire run off
-/// the Chord ring or with a bad window or latency model).
+/// specs (zero trials/servers, d < 1, partitioned sampling off the ring,
+/// bad dims/quantiles, a wire run off the Chord ring or with a bad window
+/// or latency model).
 [[nodiscard]] RunReport run(const Scenario& sc);
 
 /// Parse the shared scenario flags over `defaults`, so every binary
@@ -291,6 +290,8 @@ struct RunReport {
 ///   --model=structural|wire  --transport=sim|udp
 ///   --latency=constant|uniform|lognormal  --lat-a=A  --lat-b=B
 ///   --window=W  --lookups=L
+/// (--d, --dims and --window must fit their fields' types, else
+/// std::invalid_argument)
 /// and the observability flags:
 ///   --obs  (bare: report registry metrics)  --trace-out=FILE (implies
 ///   --obs; write trial 0's Chrome trace JSON, wire model only)

@@ -67,14 +67,6 @@ class RingSpace {
     return arcs_[i];
   }
 
-  /// Shard of a location when the circle is cut into `k` equal contiguous
-  /// arcs ~[s/k, (s+1)/k): the spatial partition the sharded engine routes
-  /// probes by, and with k = n the bucket of the lookup directory.
-  [[nodiscard]] static std::uint32_t shard_of(Location x,
-                                              std::uint32_t k) noexcept {
-    return geometry::ring_bucket(x, k);
-  }
-
   [[nodiscard]] std::span<const double> positions() const noexcept {
     return positions_;
   }

@@ -57,16 +57,6 @@ class TorusSpace {
     grid_.nearest_batch(ps, out);
   }
 
-  /// Shard of a location when the torus is cut into `k` equal horizontal
-  /// bands [s/k, (s+1)/k) by y. Bands are contiguous in space, so a worker
-  /// that drains one shard keeps its grid-bucket working set to ~1/k of the
-  /// structure.
-  [[nodiscard]] static std::uint32_t shard_of(Location p,
-                                              std::uint32_t k) noexcept {
-    const auto s = static_cast<std::uint32_t>(p.y * static_cast<double>(k));
-    return s >= k ? k - 1 : s;  // guard the y -> 1.0 rounding edge
-  }
-
   /// Exact Voronoi area of bin `i`. Requires ensure_measures() first;
   /// asserts otherwise (keeps the hot constructor free of the O(n) cell
   /// construction when the experiment never reads measures).

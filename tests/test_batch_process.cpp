@@ -1,9 +1,9 @@
-// Tests for the batched d-choice engine: exact equivalence against the
-// scalar oracle under deterministic tie-breaks (shared location stream),
-// batched primitive correctness (sort_ring_positions, ring_owner_batch and
-// nearest_batch against brute force),
-// statistical agreement for the randomized tie-break, and thread-count
-// invariance of the batched Monte-Carlo entry point.
+// Tests for the batched d-choice engine on one thread: exact equivalence
+// against the scalar oracle under deterministic tie-breaks (shared
+// location stream), batched primitive correctness (sort_ring_positions,
+// ring_owner_batch and nearest_batch against brute force), and
+// statistical agreement for the randomized tie-break. The same engine on a
+// thread pool is tested in test_sharded_process.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -174,33 +174,6 @@ TEST(BatchProcess, RandomTieBreakStatisticallyMatchesScalar) {
       geochoice::stats::chi_squared_two_sample(scalar_loads, batch_loads);
   EXPECT_FALSE(chi.rejects()) << "chi2 = " << chi.statistic << " on "
                               << chi.dof << " dof";
-}
-
-TEST(BatchProcess, RunBatchTrialsThreadCountInvariant) {
-  gr::DefaultEngine setup(13);
-  const auto space = gs::RingSpace::random(128, setup);
-  const auto o = opts(512, 2, gc::TieBreak::kRandom);
-  const auto one = gc::run_batch_trials(space, o, 24, 2024, 1);
-  const auto four = gc::run_batch_trials(space, o, 24, 2024, 4);
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t t = 0; t < one.size(); ++t) {
-    EXPECT_EQ(one[t].loads, four[t].loads) << "trial " << t;
-    EXPECT_EQ(one[t].max_load, four[t].max_load) << "trial " << t;
-  }
-}
-
-TEST(BatchProcess, RunBatchTrialsMatchesScalarTrialsDeterministicTie) {
-  // With a deterministic tie-break the batched sweep must reproduce the
-  // scalar per-trial results exactly (same trial-engine derivation).
-  gr::DefaultEngine setup(14);
-  const auto space = gs::RingSpace::random(64, setup);
-  const auto o = opts(256, 2, gc::TieBreak::kLowestIndex);
-  const auto batched = gc::run_batch_trials(space, o, 16, 31337, 0);
-  for (std::size_t t = 0; t < batched.size(); ++t) {
-    auto gen = gr::make_trial_engine(31337, t);
-    const auto scalar = gc::run_process(space, o, gen);
-    EXPECT_EQ(scalar.loads, batched[t].loads) << "trial " << t;
-  }
 }
 
 namespace {

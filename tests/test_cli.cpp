@@ -1,8 +1,10 @@
 // Tests for the shared CLI flag parser, including the hardened edges:
 // duplicate-flag rejection, explicit-empty (`--flag=`) semantics vs bare
-// boolean flags, and unused-flag (typo) reporting.
+// boolean flags, range-checked narrow integers, and unused-flag (typo)
+// reporting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -63,6 +65,24 @@ TEST(ArgParser, BadValuesThrow) {
   EXPECT_THROW((void)p.get_u64("trials", 0), std::invalid_argument);
   EXPECT_THROW((void)p.get_double("x", 0.0), std::invalid_argument);
   EXPECT_THROW((void)p.get_u64_list("list", {}), std::invalid_argument);
+}
+
+// get_int<T> reads a flag into a narrow integer and throws for a value
+// past T's maximum; get_u64 plus a static_cast would wrap it instead.
+TEST(ArgParser, IntGetterRejectsValuesThatDoNotFit) {
+  const auto p =
+      parse({"--d=4294967298", "--w=4294967296", "--top=4294967295",
+             "--imax=2147483647", "--ipast=2147483648", "--neg=-1",
+             "--bad=x"});
+  EXPECT_THROW((void)p.get_int("d", 2), std::invalid_argument);
+  EXPECT_THROW((void)p.get_int<std::uint32_t>("w", 1), std::invalid_argument);
+  EXPECT_EQ(p.get_int<std::uint32_t>("top", 1), 4294967295u);
+  EXPECT_EQ(p.get_int("imax", 0), 2147483647);
+  EXPECT_THROW((void)p.get_int("ipast", 0), std::invalid_argument);
+  EXPECT_THROW((void)p.get_int("neg", 0), std::invalid_argument);
+  EXPECT_THROW((void)p.get_int("bad", 0), std::invalid_argument);
+  EXPECT_EQ(p.get_int("absent", -3), -3);
+  EXPECT_TRUE(p.unused().empty());
 }
 
 TEST(ArgParser, PositionalArgumentsRejected) {

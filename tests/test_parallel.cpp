@@ -127,12 +127,3 @@ TEST(TrialRunner, TrialsAreIndependentStreams) {
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
 }
-
-TEST(TrialRunner, RunTrialsOnExistingPool) {
-  gp::ThreadPool pool(2);
-  auto fn = [](std::uint64_t trial, geochoice::rng::DefaultEngine&) {
-    return trial * 2;
-  };
-  const auto r = gp::run_trials_on(pool, 10, 0, fn);
-  for (std::uint64_t t = 0; t < 10; ++t) EXPECT_EQ(r[t], t * 2);
-}

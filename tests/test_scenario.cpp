@@ -1,7 +1,7 @@
 // Tests for the sim::Scenario front door: the engine-equivalence matrix
 // (scalar / batched / sharded bit-identical through the façade for
-// deterministic tie-breaks, across every applicable space), kAuto
-// resolution, validation of unsupported engine × space combinations,
+// deterministic tie-breaks, batched / sharded for random ones, on every
+// space), kAuto resolution, validation of unrunnable specs and flags,
 // resolved-spec echo, and the CSV/JSON reporting helpers.
 #include <gtest/gtest.h>
 
@@ -63,7 +63,6 @@ TEST(ScenarioMatrix, EnginesBitIdenticalForDeterministicTies) {
           gm::run(small_scenario(space, tie, gm::Engine::kScalar));
       ASSERT_EQ(scalar.max_load.total(), 6u);
       for (const auto engine : {gm::Engine::kBatched, gm::Engine::kSharded}) {
-        if (!gm::engine_supports(engine, space)) continue;
         const auto other = gm::run(small_scenario(space, tie, engine));
         EXPECT_EQ(scalar.max_load, other.max_load)
             << "space=" << gm::to_string(space)
@@ -74,18 +73,23 @@ TEST(ScenarioMatrix, EnginesBitIdenticalForDeterministicTies) {
   }
 }
 
-// kRandom is equal in distribution, not bit-equal (the batched engine
-// interleaves tie draws at block boundaries; the sharded engine splits
-// off a tie substream) — but every engine must still run every space,
+// kRandom is equal in distribution, not bit-equal, between the scalar
+// and batched engines (the batched engine draws its ties from a substream
+// split off up front) — but every engine must still run every space,
 // produce one histogram entry per trial, and stay within the coarse
-// max-load band the theory fixes at this size.
+// max-load band the theory fixes at this size. The sharded engine is the
+// batched one on a pool, so their histograms are bit-identical.
 TEST(ScenarioMatrix, AllEnginesRunAllSpacesWithRandomTies) {
   for (const auto space : kAllSpaces) {
+    geochoice::stats::IntHistogram batched;
     for (const auto engine :
          {gm::Engine::kScalar, gm::Engine::kBatched, gm::Engine::kSharded}) {
-      if (!gm::engine_supports(engine, space)) continue;
       const auto r = gm::run(small_scenario(space, gc::TieBreak::kRandom,
                                             engine));
+      if (engine == gm::Engine::kBatched) batched = r.max_load;
+      if (engine == gm::Engine::kSharded) {
+        EXPECT_EQ(r.max_load, batched) << "space=" << gm::to_string(space);
+      }
       EXPECT_EQ(r.max_load.total(), 6u);
       EXPECT_GE(r.max_load.min_value(), 2u);
       // Zipf weights (alpha = 1) are deliberately skewed: two choices
@@ -113,16 +117,6 @@ TEST(ScenarioMatrix, ThreadCountInvariance) {
 }
 
 // --------------------------------------------------------------- validation
-
-TEST(Scenario, ShardedOnNonShardableSpaceThrows) {
-  for (const auto space : {gm::SpaceKind::kTorusNd, gm::SpaceKind::kWeighted,
-                           gm::SpaceKind::kChordNet}) {
-    EXPECT_FALSE(gm::engine_supports(gm::Engine::kSharded, space));
-    EXPECT_THROW((void)gm::run(small_scenario(space, gc::TieBreak::kRandom,
-                                              gm::Engine::kSharded)),
-                 std::invalid_argument);
-  }
-}
 
 TEST(Scenario, RejectsUnrunnableSpecsUpFront) {
   auto sc = small_scenario(gm::SpaceKind::kRing, gc::TieBreak::kRandom,
@@ -177,23 +171,26 @@ TEST(Scenario, AutoResolutionRules) {
   EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
   sc.num_balls = 1ull << 22;
   sc.trials = 1;
-  EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);  // ring never shards
-
-  // The torus shards a single huge trial.
-  sc.space = gm::SpaceKind::kTorus;
   EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kSharded);
-  sc.trials = 2;  // the trial pool runs them side by side instead
-  EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
-  sc.trials = 1;
-  sc.num_balls = (1ull << 22) - 1;
-  EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
-  sc.num_balls = 1ull << 22;
-  sc.threads = 2;  // sharding needs cores
-  EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
+
+  // One or two huge trials run on the in-trial pool, on either space.
+  for (const auto space : {gm::SpaceKind::kRing, gm::SpaceKind::kTorus}) {
+    sc.space = space;
+    sc.trials = 2;
+    EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kSharded);
+    sc.trials = 3;  // the trial pool runs them side by side instead
+    EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
+    sc.trials = 1;
+    sc.num_balls = (1ull << 22) - 1;
+    EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
+    sc.num_balls = 1ull << 22;
+    sc.threads = 2;  // the pool needs cores
+    EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
+    sc.threads = 8;
+  }
 
   // Uniform has no owner lookup to batch; the non-bulk spaces have no
   // kernels — scalar regardless of size.
-  sc.threads = 8;
   for (const auto space : {gm::SpaceKind::kUniform, gm::SpaceKind::kTorusNd,
                            gm::SpaceKind::kWeighted,
                            gm::SpaceKind::kChordNet}) {
@@ -261,6 +258,25 @@ TEST(Scenario, FromArgsParsesEveryFlagOverDefaults) {
   EXPECT_EQ(sc.seed, 77u);
   EXPECT_EQ(sc.threads, 2u);
   EXPECT_DOUBLE_EQ(sc.zipf_alpha, 1.25);
+}
+
+// --d, --dims and --window narrow to int / int / uint32_t: a value past
+// the type's maximum is rejected, not wrapped into a different run
+// (4294967298 would otherwise run as d = 2).
+TEST(Scenario, FromArgsRejectsOutOfRangeIntegers) {
+  for (const char* flag : {"--d=4294967298", "--dims=2147483648",
+                           "--window=4294967297"}) {
+    const std::vector<const char*> argv = {"prog", flag};
+    const gm::ArgParser args(static_cast<int>(argv.size()), argv.data());
+    EXPECT_THROW((void)gm::scenario_from_args(args), std::invalid_argument)
+        << flag;
+  }
+  const std::vector<const char*> argv = {"prog", "--d=2147483647",
+                                         "--window=4294967295"};
+  const gm::ArgParser args(static_cast<int>(argv.size()), argv.data());
+  const auto sc = gm::scenario_from_args(args);
+  EXPECT_EQ(sc.num_choices, 2147483647);
+  EXPECT_EQ(sc.window, 4294967295u);
 }
 
 TEST(Scenario, FromArgsKeepsDefaultsAndTakesListFront) {
