@@ -19,8 +19,9 @@
 
 namespace gm = geochoice::sim;
 
-int main(int argc, char** argv) {
-  const gm::ArgParser args(argc, argv);
+namespace {
+
+int run(const gm::ArgParser& args) {
   const auto ratios = args.get_u64_list("ratios", {1, 2, 4, 8, 16, 32});
   gm::Scenario base;
   base.space = gm::SpaceKind::kRing;
@@ -81,3 +82,7 @@ int main(int argc, char** argv) {
       "toward a constant — the choices absorb the arc-length skew.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return gm::cli_main(argc, argv, run); }

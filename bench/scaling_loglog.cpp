@@ -24,8 +24,9 @@
 namespace gm = geochoice::sim;
 namespace th = geochoice::core::theory;
 
-int main(int argc, char** argv) {
-  const gm::ArgParser args(argc, argv);
+namespace {
+
+int run(const gm::ArgParser& args) {
   const std::uint64_t nmin_exp = args.get_u64("nmin-exp", 8);
   const std::uint64_t nmax_exp = args.get_u64("nmax-exp", 16);
   const std::uint64_t torus_max_exp = args.get_u64("torus-max-exp", 13);
@@ -110,3 +111,7 @@ int main(int argc, char** argv) {
       "d>=2 columns move by <1 per 4x n (log log pace).\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return gm::cli_main(argc, argv, run); }

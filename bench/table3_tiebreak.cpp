@@ -19,8 +19,9 @@
 namespace gm = geochoice::sim;
 namespace gc = geochoice::core;
 
-int main(int argc, char** argv) {
-  const gm::ArgParser args(argc, argv);
+namespace {
+
+int run(const gm::ArgParser& args) {
   std::vector<std::uint64_t> sizes =
       args.get_u64_list("n", {1u << 8, 1u << 12, 1u << 16});
   gm::Scenario base;
@@ -93,3 +94,7 @@ int main(int argc, char** argv) {
                   .c_str());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return gm::cli_main(argc, argv, run); }

@@ -20,8 +20,9 @@
 namespace gm = geochoice::sim;
 namespace gc = geochoice::core;
 
-int main(int argc, char** argv) {
-  const gm::ArgParser args(argc, argv);
+namespace {
+
+int run(const gm::ArgParser& args) {
   const auto sizes = args.get_u64_list("n", {1u << 8, 1u << 10, 1u << 12});
   gm::Scenario base;
   base.space = gm::SpaceKind::kTorus;
@@ -91,3 +92,7 @@ int main(int argc, char** argv) {
       "cell-smaller best, cell-larger worst.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return gm::cli_main(argc, argv, run); }

@@ -17,8 +17,9 @@
 namespace gm = geochoice::sim;
 namespace th = geochoice::core::theory;
 
-int main(int argc, char** argv) {
-  const gm::ArgParser args(argc, argv);
+namespace {
+
+int run(const gm::ArgParser& args) {
 
   // 1. Declare the experiment: a consistent-hashing ring of n servers,
   //    m = n items, a handful of trials. Every knob is a field (or the
@@ -56,3 +57,7 @@ int main(int argc, char** argv) {
               th::single_choice_geometric_scale(n));
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return gm::cli_main(argc, argv, run); }

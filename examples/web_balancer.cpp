@@ -26,8 +26,9 @@
 namespace gm = geochoice::sim;
 namespace gn = geochoice::net;
 
-int main(int argc, char** argv) {
-  const gm::ArgParser args(argc, argv);
+namespace {
+
+int run(const gm::ArgParser& args) {
   gm::Scenario base;
   base.space = gm::SpaceKind::kRing;
   base.num_servers = 1000;
@@ -117,3 +118,7 @@ int main(int argc, char** argv) {
       "E15; for more of the one-shot setting, examples/chord_dht.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return gm::cli_main(argc, argv, run); }

@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "geometry/owner_kernel.hpp"
 #include "geometry/point.hpp"
 
 namespace geochoice::geometry {
@@ -61,18 +62,46 @@ std::vector<std::uint32_t> sort_ring_positions(std::vector<double>& positions);
 
 /// Batched owner resolution: `out[i] = ring_owner(sorted_positions, xs[i])`
 /// for every query, through the `directory` that sort_ring_positions
-/// returned for these positions. Positions in an earlier bucket than x are
-/// all below it and positions in a later one all above, so the answer only
-/// needs a count of the positions <= x inside x's own bucket. One pass
-/// computes every query's bucket and prefetches its directory entry; a
-/// second prefetches ahead into the positions and counts each query's
-/// bucket without a branch over its first four entries (larger buckets,
-/// rare on a uniform ring, take a binary search). Queries must lie in
-/// [0, 1]; 1.0 lands in the last bucket. Requires xs.size() == out.size().
+/// returned for these positions. Queries must lie in [0, 1]; 1.0 lands in
+/// the last bucket. Requires xs.size() == out.size().
+///
+/// Positions in an earlier bucket than x are all below it and positions in
+/// a later one all above, so the owner only needs a count of the positions
+/// <= x inside x's own bucket [dir[b], dir[b + 1]): the owner is the
+/// position just before the counted prefix ends, or the last position when
+/// nothing precedes x. Buckets of up to four positions are counted without
+/// a branch; larger ones (about 0.4% of a uniform ring's buckets) take
+/// std::upper_bound. Both kernels compute ring_bucket's product and
+/// truncation and the same `position <= x` comparisons, so their owners
+/// equal ring_owner's bit for bit.
+///
+/// Two kernels, chosen by batch_kernel() (owner_kernel.hpp), once per
+/// process from the CPU:
+/// * kAvx512 (AVX-512 F, VL and DQ) resolves eight queries per step, one
+///   per lane: each bucket by ring_bucket's arithmetic, dir[b] and
+///   dir[b + 1] by two 32-bit gathers, the bucket's first four positions
+///   by masked 64-bit gathers (a lane loads position k only when its bucket
+///   has more than k), and the count by masked compares. Lanes whose bucket
+///   holds more than four positions are redone by the scalar kernel's
+///   upper_bound. A length that is not a multiple of 8 ends on a masked
+///   step. Rings of 2^31 or more positions, past the gathers' signed 32-bit
+///   indices, take the scalar kernel.
+/// * kScalar, the reference and the kernel on every other CPU, works in
+///   chunks of 2048 queries: one pass computes each query's bucket and
+///   prefetches its directory entry, a second prefetches ahead into the
+///   positions and counts each query's bucket.
 void ring_owner_batch(std::span<const double> sorted_positions,
                       std::span<const std::uint32_t> directory,
                       std::span<const double> xs,
                       std::span<std::uint32_t> out) noexcept;
+
+/// ring_owner_batch through a named kernel, so tests can compare both on
+/// one host. Throws std::invalid_argument for kAvx512 when batch_kernel()
+/// is kScalar.
+void ring_owner_batch(Kernel kernel, std::span<const double> sorted_positions,
+                      std::span<const std::uint32_t> directory,
+                      std::span<const double> xs,
+                      std::span<std::uint32_t> out);
 
 /// Arc lengths induced by *sorted* positions: `result[i]` is the length of
 /// [pos_i, pos_{i+1}) with wraparound. Lengths sum to exactly ~1.

@@ -5,13 +5,9 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define GEOCHOICE_GRID_AVX512 1
+#if GEOCHOICE_AVX512_KERNELS
 #include <immintrin.h>
-#else
-#define GEOCHOICE_GRID_AVX512 0
 #endif
 
 namespace geochoice::geometry {
@@ -133,12 +129,13 @@ double SpatialGrid::nearest_dist2(Vec2 q) const noexcept {
   return torus_dist2(sites_[nearest(q)], q);
 }
 
-// The batch kernels. Both run batch_loop: per query, a scan of its 3x3
-// block of buckets into a (d², lowest index) key, then the walk over
-// rings >= 2; they differ only in the block scan. Everything the AVX-512
-// kernel runs is inlined into its one target function, ring walk and
-// overflow rows included, so no baseline code runs between its vector
-// instructions and the vzeroupper at its exit.
+// The batch kernels. kScalar resolves one query at a time: a scan of its
+// 3x3 block of buckets into a (d², lowest index) key, then the walk over
+// rings >= 2. kAvx512 resolves eight queries per step, one per lane, and
+// hands the few lanes it cannot settle exactly to the same scalar code.
+// Everything the AVX-512 kernel runs is inlined into its one target
+// function, those scalar paths included, so no baseline code runs between
+// its vector instructions and the vzeroupper at its exit.
 struct SpatialGrid::Kernels {
   /// A query, wrapped into [0,1)^2, and its 3x3 block of buckets as three
   /// padded-row ranges: for rows by-1, by, by+1, row[j] points at the
@@ -253,81 +250,18 @@ struct SpatialGrid::Kernels {
     return best;
   }
 
-#if GEOCHOICE_GRID_AVX512
-  // d² from q to the `live` entries of one range starting at `begin`; +inf
-  // in the other lanes.
-  __attribute__((target("avx512f,avx512vl,avx512dq"), always_inline)) __m512d
-  range_d2(std::uint32_t begin, __mmask8 live, __m512d qx,
-           __m512d qy) const noexcept {
-    const __m512d one = _mm512_set1_pd(1.0);
-    const __m512d ax = _mm512_abs_pd(
-        _mm512_sub_pd(_mm512_maskz_loadu_pd(live, xs + begin), qx));
-    const __m512d ay = _mm512_abs_pd(
-        _mm512_sub_pd(_mm512_maskz_loadu_pd(live, ys + begin), qy));
-    // min(1 - a, a) picks exactly what std::min(a, 1 - a) picks.
-    const __m512d dx = _mm512_min_pd(_mm512_sub_pd(one, ax), ax);
-    const __m512d dy = _mm512_min_pd(_mm512_sub_pd(one, ay), ay);
-    return _mm512_mask_blend_pd(
-        live, _mm512_set1_pd(std::numeric_limits<double>::infinity()),
-        _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)));
+  // One query through the scalar kernel.
+  [[gnu::always_inline]] std::uint32_t resolve_one(Vec2 q) const noexcept {
+    const Block block = block_of(q);
+    return static_cast<std::uint32_t>(
+        scan_outer_rings(block, scan_block_scalar(block)));
   }
-
-  // Not always_inline: a baseline caller could not take it. The kernel's
-  // flatten pulls it in.
-  __attribute__((target("avx512f,avx512vl,avx512dq"))) Key scan_block_avx512(
-      const Block& b) const noexcept {
-    const std::uint32_t begin[3] = {b.row[0][0], b.row[1][0], b.row[2][0]};
-    const std::uint32_t len0 = b.row[0][3] - begin[0];
-    const std::uint32_t len1 = b.row[1][3] - begin[1];
-    const std::uint32_t len2 = b.row[2][3] - begin[2];
-    auto lanes = [](std::uint32_t len) {
-      return static_cast<__mmask8>(len <= 8 ? (1u << len) - 1 : 0);
-    };
-    Key best = make_key(std::numeric_limits<double>::infinity(), 0);
-    if (len0 > 8) best = scan_range(begin[0], begin[0] + len0, b.q, best);
-    if (len1 > 8) best = scan_range(begin[1], begin[1] + len1, b.q, best);
-    if (len2 > 8) best = scan_range(begin[2], begin[2] + len2, b.q, best);
-    const __mmask8 live0 = lanes(len0), live1 = lanes(len1),
-                   live2 = lanes(len2);
-    const __m512d qx = _mm512_set1_pd(b.q.x);
-    const __m512d qy = _mm512_set1_pd(b.q.y);
-    const __m256i id0 = _mm256_maskz_loadu_epi32(live0, ids + begin[0]);
-    const __m256i id1 = _mm256_maskz_loadu_epi32(live1, ids + begin[1]);
-    const __m256i id2 = _mm256_maskz_loadu_epi32(live2, ids + begin[2]);
-    const __m512d d0 = range_d2(begin[0], live0, qx, qy);
-    const __m512d d1 = range_d2(begin[1], live1, qx, qy);
-    const __m512d d2 = range_d2(begin[2], live2, qx, qy);
-    const double min_d2 =
-        _mm512_reduce_min_pd(_mm512_min_pd(d0, _mm512_min_pd(d1, d2)));
-    const __m512d at_min = _mm512_set1_pd(min_d2);
-    // The site index of every lane at the minimum, all ones elsewhere; the
-    // ids were loaded with the coordinates, off this dependency chain.
-    const __m256i none = _mm256_set1_epi32(-1);
-    __m256i c = _mm256_mask_mov_epi32(
-        none, _mm512_mask_cmp_pd_mask(live0, d0, at_min, _CMP_EQ_OQ), id0);
-    c = _mm256_min_epu32(
-        c, _mm256_mask_mov_epi32(
-               none, _mm512_mask_cmp_pd_mask(live1, d1, at_min, _CMP_EQ_OQ),
-               id1));
-    c = _mm256_min_epu32(
-        c, _mm256_mask_mov_epi32(
-               none, _mm512_mask_cmp_pd_mask(live2, d2, at_min, _CMP_EQ_OQ),
-               id2));
-    __m128i h = _mm_min_epu32(_mm256_castsi256_si128(c),
-                              _mm256_extracti128_si256(c, 1));
-    h = _mm_min_epu32(h, _mm_shuffle_epi32(h, _MM_SHUFFLE(1, 0, 3, 2)));
-    h = _mm_min_epu32(h, _mm_shuffle_epi32(h, _MM_SHUFFLE(2, 3, 0, 1)));
-    const auto idx = static_cast<std::uint32_t>(_mm_cvtsi128_si32(h));
-    return std::min(best, make_key(min_d2, idx));
-  }
-#endif
 
   // One pass over the queries. The next query's block (three row offsets)
   // is computed and prefetched before the current one is resolved, which
   // gives the prefetches time to land.
-  template <bool kAvx512>
-  [[gnu::always_inline]] void batch_loop(
-      std::span<const Vec2> qs, std::span<std::uint32_t> out) const noexcept {
+  void scalar(std::span<const Vec2> qs,
+              std::span<std::uint32_t> out) const noexcept {
     const std::size_t m = qs.size();
     Block next = block_of(qs[0]);
     for (std::size_t i = 0; i < m; ++i) {
@@ -339,29 +273,180 @@ struct SpatialGrid::Kernels {
         __builtin_prefetch(next.row[1]);
         __builtin_prefetch(next.row[2]);
       }
-      Key best;
-#if GEOCHOICE_GRID_AVX512
-      if constexpr (kAvx512) {
-        best = scan_block_avx512(block);
-      } else {
-        best = scan_block_scalar(block);
-      }
-#else
-      best = scan_block_scalar(block);
-#endif
-      out[i] = static_cast<std::uint32_t>(scan_outer_rings(block, best));
+      out[i] = static_cast<std::uint32_t>(
+          scan_outer_rings(block, scan_block_scalar(block)));
     }
   }
 
-  void scalar(std::span<const Vec2> qs,
-              std::span<std::uint32_t> out) const noexcept {
-    batch_loop<false>(qs, out);
+#if GEOCHOICE_AVX512_KERNELS
+  // Eight queries in [0,1)^2, one per lane, with each lane's 3x3 block as
+  // scan_block_scalar's one sequence: step t of a lane reads entry
+  // t + shift0 before end0, t + shift1 before end1 and t + shift2 before
+  // end2. `inside` is false when a query lies outside [0,1)^2, which
+  // block_of would wrap; the other fields are then unset.
+  struct Group {
+    __m512d qx, qy, edge;
+    __m256i end0, end1, end2, shift0, shift1, shift2;
+    bool inside;
+  };
+
+  // block_of's arithmetic in every lane, and the six gathers of the
+  // lanes' row bounds.
+  __attribute__((target("avx512f,avx512vl,avx512dq"), always_inline)) Group
+  group_of(const Vec2* qs) const noexcept {
+    Group g;
+    const __m512d one = _mm512_set1_pd(1.0);
+    const __m512d zero = _mm512_setzero_pd();
+    // x0 y0 .. x3 y3 | x4 y4 .. x7 y7 -> x0 .. x7 and y0 .. y7.
+    const __m512d q03 = _mm512_loadu_pd(&qs[0].x);
+    const __m512d q47 = _mm512_loadu_pd(&qs[4].x);
+    g.qx = _mm512_permutex2var_pd(
+        q03, _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14), q47);
+    g.qy = _mm512_permutex2var_pd(
+        q03, _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15), q47);
+    g.inside = (_mm512_cmp_pd_mask(g.qx, zero, _CMP_GE_OQ) &
+                _mm512_cmp_pd_mask(g.qx, one, _CMP_LT_OQ) &
+                _mm512_cmp_pd_mask(g.qy, zero, _CMP_GE_OQ) &
+                _mm512_cmp_pd_mask(g.qy, one, _CMP_LT_OQ)) == 0xff;
+    if (!g.inside) [[unlikely]] return g;
+
+    const std::uint32_t k = grid.k_;
+    const __m256i zero_i = _mm256_setzero_si256();
+    const __m256i one_i = _mm256_set1_epi32(1);
+    const __m256i last_i = _mm256_set1_epi32(static_cast<int>(k - 1));
+    const __m512d k_d = _mm512_set1_pd(static_cast<double>(k));
+    const __m512d tx = _mm512_mul_pd(g.qx, k_d);
+    const __m512d ty = _mm512_mul_pd(g.qy, k_d);
+    const __m256i bx = _mm256_min_epu32(_mm512_cvttpd_epu32(tx), last_i);
+    const __m256i by = _mm256_min_epu32(_mm512_cvttpd_epu32(ty), last_i);
+    const __m512d fx = _mm512_sub_pd(tx, _mm512_cvtepu32_pd(bx));
+    const __m512d fy = _mm512_sub_pd(ty, _mm512_cvtepu32_pd(by));
+    // block_of's min(a, b) is b < a ? b : a, which vminpd(b, a) computes.
+    g.edge = _mm512_min_pd(_mm512_min_pd(_mm512_sub_pd(one, fy), fy),
+                           _mm512_min_pd(_mm512_sub_pd(one, fx), fx));
+    const __m256i up = _mm256_mask_mov_epi32(
+        _mm256_sub_epi32(by, one_i), _mm256_cmpeq_epi32_mask(by, zero_i),
+        last_i);
+    const __m256i below = _mm256_add_epi32(by, one_i);
+    const __m256i down = _mm256_mask_mov_epi32(
+        below,
+        _mm256_cmpeq_epi32_mask(below, _mm256_set1_epi32(static_cast<int>(k))),
+        zero_i);
+    // padded_slot(row, bx); row_start_[slot] and row_start_[slot + 3]
+    // bound the row's three buckets.
+    const __m256i stride = _mm256_set1_epi32(static_cast<int>(k + 2));
+    const __m256i slot0 = _mm256_add_epi32(_mm256_mullo_epi32(up, stride), bx);
+    const __m256i slot1 = _mm256_add_epi32(_mm256_mullo_epi32(by, stride), bx);
+    const __m256i slot2 =
+        _mm256_add_epi32(_mm256_mullo_epi32(down, stride), bx);
+    const int* const rows = reinterpret_cast<const int*>(grid.row_start_.data());
+    g.shift0 = _mm256_i32gather_epi32(rows, slot0, 4);
+    const __m256i begin1 = _mm256_i32gather_epi32(rows, slot1, 4);
+    const __m256i begin2 = _mm256_i32gather_epi32(rows, slot2, 4);
+    g.end0 =
+        _mm256_sub_epi32(_mm256_i32gather_epi32(rows + 3, slot0, 4), g.shift0);
+    g.end1 = _mm256_add_epi32(
+        g.end0,
+        _mm256_sub_epi32(_mm256_i32gather_epi32(rows + 3, slot1, 4), begin1));
+    g.end2 = _mm256_add_epi32(
+        g.end1,
+        _mm256_sub_epi32(_mm256_i32gather_epi32(rows + 3, slot2, 4), begin2));
+    g.shift1 = _mm256_sub_epi32(begin1, g.end0);
+    g.shift2 = _mm256_sub_epi32(begin2, g.end1);
+    return g;
   }
 
-#if GEOCHOICE_GRID_AVX512
+  // Each lane runs its sequence, with masked gathers of x and y, to the end
+  // of the longest of the eight, and keeps the first entry at its minimum
+  // d². The ids are gathered once, at the end. A lane is settled when no
+  // entry matched its running minimum exactly (so that entry is the only
+  // one at its d², and the lowest index needs no comparison) and the exit
+  // bound rules ring 2 out. The others go to the scalar code: a lane with a
+  // tie scans its block again, a lane that must walk continues from its
+  // vector minimum. A group with a query outside [0,1)^2 takes the scalar
+  // kernel whole.
+  __attribute__((target("avx512f,avx512vl,avx512dq"), always_inline)) void
+  scan_group(const Group& g, const Vec2* qs,
+             std::uint32_t* out) const noexcept {
+    if (!g.inside) [[unlikely]] {
+      for (int lane = 0; lane < 8; ++lane) out[lane] = resolve_one(qs[lane]);
+      return;
+    }
+    const __m512d one = _mm512_set1_pd(1.0);
+    const __m256i zero_i = _mm256_setzero_si256();
+    const std::uint32_t steps = _mm512_reduce_max_epu32(
+        _mm512_inserti64x4(_mm512_setzero_si512(), g.end2, 0));
+    __m512d best = _mm512_set1_pd(std::numeric_limits<double>::infinity());
+    __m256i best_entry = zero_i;
+    __mmask8 tie = 0;
+    for (std::uint32_t t = 0; t < steps; ++t) {
+      const __m256i tv = _mm256_set1_epi32(static_cast<int>(t));
+      const __mmask8 live = _mm256_cmpgt_epu32_mask(g.end2, tv);
+      __m256i shift = _mm256_mask_mov_epi32(
+          g.shift2, _mm256_cmpgt_epu32_mask(g.end1, tv), g.shift1);
+      shift = _mm256_mask_mov_epi32(
+          shift, _mm256_cmpgt_epu32_mask(g.end0, tv), g.shift0);
+      const __m256i entry = _mm256_add_epi32(tv, shift);
+      const __m512d x = _mm512_mask_i32gather_pd(g.qx, live, entry, xs, 8);
+      const __m512d y = _mm512_mask_i32gather_pd(g.qy, live, entry, ys, 8);
+      // entry_key's operations: sub, abs, min(1 - a, a), mul, add.
+      const __m512d ax = _mm512_abs_pd(_mm512_sub_pd(x, g.qx));
+      const __m512d ay = _mm512_abs_pd(_mm512_sub_pd(y, g.qy));
+      const __m512d dx = _mm512_min_pd(_mm512_sub_pd(one, ax), ax);
+      const __m512d dy = _mm512_min_pd(_mm512_sub_pd(one, ay), ay);
+      const __m512d d2 =
+          _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy));
+      tie |= _mm512_mask_cmp_pd_mask(live, d2, best, _CMP_EQ_OQ);
+      const __mmask8 nearer =
+          _mm512_mask_cmp_pd_mask(live, d2, best, _CMP_LT_OQ);
+      best = _mm512_mask_mov_pd(best, nearer, d2);
+      best_entry = _mm256_mask_mov_epi32(best_entry, nearer, entry);
+    }
+    // An empty block leaves its lane at (+inf, 0), scan_block_scalar's
+    // start.
+    const __m256i id = _mm256_mmask_i32gather_epi32(
+        zero_i, _mm256_cmpgt_epu32_mask(g.end2, zero_i), best_entry,
+        reinterpret_cast<const int*>(ids), 4);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), id);
+
+    // done_before(2) of scan_outer_rings, in every lane.
+    auto settled = static_cast<__mmask8>(~tie);
+    if ((grid.k_ - 1) / 2 >= 2) {
+      const __m512d exit = _mm512_mul_pd(_mm512_add_pd(one, g.edge),
+                                         _mm512_set1_pd(exit_cell));
+      settled &=
+          _mm512_cmp_pd_mask(_mm512_mul_pd(exit, exit), best, _CMP_GT_OQ);
+    }
+    if (settled == 0xff) [[likely]] return;
+    alignas(64) double best_d2[8];
+    _mm512_store_pd(best_d2, best);
+    for (unsigned open = ~settled & 0xffu; open != 0; open &= open - 1) {
+      const int lane = __builtin_ctz(open);
+      const Block block = block_of(qs[lane]);
+      const Key start = (tie >> lane) & 1
+                            ? scan_block_scalar(block)
+                            : make_key(best_d2[lane], out[lane]);
+      out[lane] = static_cast<std::uint32_t>(scan_outer_rings(block, start));
+    }
+  }
+
+  // Groups of eight; the next group's row bounds are gathered before the
+  // current group is scanned, so their loads overlap its scan. The last
+  // m mod 8 queries take the scalar kernel.
   __attribute__((target("avx512f,avx512vl,avx512dq"), flatten)) void avx512(
       std::span<const Vec2> qs, std::span<std::uint32_t> out) const noexcept {
-    batch_loop<true>(qs, out);
+    const std::size_t groups = qs.size() / 8;
+    if (groups > 0) {
+      Group next = group_of(qs.data());
+      for (std::size_t i = 0; i < groups; ++i) {
+        const Group g = next;
+        if (i + 1 < groups) next = group_of(qs.data() + 8 * (i + 1));
+        scan_group(g, qs.data() + 8 * i, out.data() + 8 * i);
+      }
+    }
+    for (std::size_t i = 8 * groups; i < qs.size(); ++i) {
+      out[i] = resolve_one(qs[i]);
+    }
     // Hand the baseline caller clean upper register halves, whatever the
     // compiler's own vzeroupper placement does.
     _mm256_zeroupper();
@@ -369,38 +454,28 @@ struct SpatialGrid::Kernels {
 #endif
 };
 
-SpatialGrid::Kernel SpatialGrid::batch_kernel() noexcept {
-  static const Kernel kernel = [] {
-#if GEOCHOICE_GRID_AVX512
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512vl") &&
-        __builtin_cpu_supports("avx512dq")) {
-      return Kernel::kAvx512;
-    }
-#endif
-    return Kernel::kScalar;
-  }();
-  return kernel;
-}
-
 void SpatialGrid::nearest_batch(std::span<const Vec2> qs,
                                 std::span<std::uint32_t> out) const {
-  nearest_batch(batch_kernel(), qs, out);
+  resolve_batch(batch_kernel(), qs, out);
 }
 
 void SpatialGrid::nearest_batch(Kernel kernel, std::span<const Vec2> qs,
                                 std::span<std::uint32_t> out) const {
+  require_kernel(kernel, "SpatialGrid::nearest_batch");
+  resolve_batch(kernel, qs, out);
+}
+
+void SpatialGrid::resolve_batch(Kernel kernel, std::span<const Vec2> qs,
+                                std::span<std::uint32_t> out) const noexcept {
   assert(qs.size() == out.size());
   assert(!sites_.empty());
-  if (kernel == Kernel::kAvx512 && batch_kernel() != Kernel::kAvx512) {
-    throw std::invalid_argument(
-        "SpatialGrid::nearest_batch: this CPU lacks AVX-512 F/VL/DQ");
-  }
   if (qs.empty()) return;
   const Kernels kernels(*this);
-#if GEOCHOICE_GRID_AVX512
-  if (kernel == Kernel::kAvx512) {
+#if GEOCHOICE_AVX512_KERNELS
+  // The gathers take signed 32-bit indices.
+  constexpr std::size_t kMaxIndex = std::numeric_limits<std::int32_t>::max();
+  if (kernel == Kernel::kAvx512 && xs_.size() <= kMaxIndex &&
+      row_start_.size() <= kMaxIndex) {
     kernels.avx512(qs, out);
     return;
   }

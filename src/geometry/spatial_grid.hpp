@@ -16,14 +16,16 @@
 // copy of its last column before column 0 and a ghost copy of column 0
 // after its last column, so the three buckets c-1, c, c+1 of a row are one
 // contiguous range of entries for every column c, wrap included. An entry
-// is a site's x, y and index, kept in three parallel arrays so a range is a
-// contiguous, gather-free distance sweep.
+// is a site's x, y and index, kept in three parallel arrays: the scalar
+// batch kernel sweeps a range contiguously, the AVX-512 one gathers from
+// them.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "geometry/owner_kernel.hpp"
 #include "geometry/point.hpp"
 
 namespace geochoice::geometry {
@@ -69,26 +71,32 @@ class SpatialGrid {
   /// buckets, and the bound must never exceed a true distance. For k <= 3
   /// the block is the whole torus and no ring is walked.
   ///
-  /// Two kernels do the block scan. kAvx512 loads each of the three ranges
-  /// as one masked 8-lane vector of x, y and site index, and reduces the 24
-  /// lanes to the minimum d² and the lowest site index among the lanes at
-  /// it; a range
-  /// of more than 8 entries (0.37% of rows, 1.1% of queries at n = 2^16)
-  /// takes the scalar loop. kScalar walks the three ranges as one
-  /// branch-free sequence. Both compute d² with nearest()'s operations
-  /// (sub, abs, min(a, 1 - a), square, add), and spatial_grid.cpp is built
-  /// with -ffp-contract=off: GCC would otherwise fuse the square and add
-  /// into an FMA under the AVX-512 target, intrinsics included, and the
-  /// batched engine would no longer be bit-identical to run_process.
-  /// batch_kernel() picks the kernel once per process from the CPU.
+  /// Two kernels, chosen by batch_kernel() (owner_kernel.hpp), once per
+  /// process from the CPU:
+  /// * kAvx512 (AVX-512 F, VL and DQ) resolves eight queries per step, one
+  ///   per lane. It gathers each query's three padded-row bounds from the
+  ///   row offsets, runs every lane's block as one sequence of entries to
+  ///   the end of the longest of the eight, with masked gathers of x and y,
+  ///   keeps each lane's first entry at its minimum d², gathers the eight
+  ///   site ids once at the end, and tests the ring-2 exit bound in vector
+  ///   form. A lane whose minimum was matched exactly by another entry
+  ///   (a tie, whose lowest index the vector minimum cannot pick) scans
+  ///   its block again in scalar; a lane that must walk continues from its
+  ///   vector minimum in scalar; a group of eight with a query outside
+  ///   [0,1)^2 and the last m mod 8 queries take the scalar kernel. Grids
+  ///   of 2^31 or more entries or row offsets, past the gathers' signed
+  ///   32-bit indices, take the scalar kernel.
+  /// * kScalar, the reference and the kernel on every other CPU, walks a
+  ///   query's three ranges as one branch-free sequence, with the next
+  ///   query's row offsets prefetched.
+  /// Both compute d² with nearest()'s operations (sub, abs, min(a, 1 - a),
+  /// square, add) and the exit bound with the same operations, so each
+  /// result equals nearest() bit for bit. spatial_grid.cpp is built with
+  /// -ffp-contract=off: GCC would otherwise fuse the square and add into an
+  /// FMA under the AVX-512 target, intrinsics included, and the batched
+  /// engine would no longer be bit-identical to run_process.
   void nearest_batch(std::span<const Vec2> qs,
                      std::span<std::uint32_t> out) const;
-
-  enum class Kernel : std::uint8_t { kScalar, kAvx512 };
-
-  /// The kernel nearest_batch runs: kAvx512 on CPUs with AVX-512 F, VL and
-  /// DQ, else kScalar.
-  [[nodiscard]] static Kernel batch_kernel() noexcept;
 
   /// nearest_batch through a named kernel, so tests can compare both on
   /// one host. Throws std::invalid_argument for kAvx512 when
@@ -145,6 +153,8 @@ class SpatialGrid {
 
   /// The batch kernels and the code they share (spatial_grid.cpp).
   struct Kernels;
+  void resolve_batch(Kernel kernel, std::span<const Vec2> qs,
+                     std::span<std::uint32_t> out) const noexcept;
 
   /// First entry of the padded bucket at padded column `pc` (bucket column
   /// pc - 1, wrapped) of row `row`; the bucket ends where pc + 1 starts.

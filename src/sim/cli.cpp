@@ -1,6 +1,7 @@
 #include "sim/cli.hpp"
 
 #include <charconv>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -138,6 +139,19 @@ std::vector<std::string> ArgParser::unused() const {
     if (!used) out.push_back(k);
   }
   return out;
+}
+
+int cli_main(int argc, const char* const* argv,
+             const std::function<int(const ArgParser&)>& body) {
+  try {
+    const ArgParser args(argc, argv);
+    return body(args);
+  } catch (const std::invalid_argument& e) {
+    const std::string_view path = argc > 0 ? argv[0] : "geochoice";
+    const std::string program(path.substr(path.rfind('/') + 1));
+    std::fprintf(stderr, "%s: %s\n", program.c_str(), e.what());
+    return 2;
+  }
 }
 
 }  // namespace geochoice::sim

@@ -14,9 +14,13 @@
 //
 // Narrow integer flags go through get_int<T>, which throws when the value
 // does not fit in T instead of wrapping it into a different one.
+//
+// A rejected flag is a usage error: cli_main runs a binary's body on its
+// parsed flags and turns the std::invalid_argument into exit status 2.
 #pragma once
 
 #include <concepts>
+#include <functional>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -89,5 +93,12 @@ class ArgParser {
   std::map<std::string, Entry, std::less<>> values_;
   mutable std::map<std::string, bool, std::less<>> used_;
 };
+
+/// Parses argv and returns body(args). A std::invalid_argument from the
+/// parser, a getter or the body (sim::run throws one for a Scenario that
+/// fails validate()) is printed as "<program>: <message>" on stderr and
+/// returns 2, the usage-error exit of every binary.
+int cli_main(int argc, const char* const* argv,
+             const std::function<int(const ArgParser&)>& body);
 
 }  // namespace geochoice::sim

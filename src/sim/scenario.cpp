@@ -125,12 +125,16 @@ Engine resolve_engine(const Scenario& sc) noexcept {
       sc.space == SpaceKind::kRing || sc.space == SpaceKind::kTorus;
   if (!geometric_bulk) return Engine::kScalar;
   const std::uint64_t m = sc.balls();
-  // The in-trial pool pays when one or two trials would leave most of the
-  // trial pool's threads idle. At n = 2^16, m = 2^22 on 4 threads it wins
-  // at one and two trials on both spaces; on the torus it is a toss-up at
-  // three and loses at four (README's engine guide has the times).
-  if (m >= (1ull << 22) && sc.trials <= 2 &&
-      resolve_threads(sc.threads) >= 4) {
+  // The in-trial pool pays when few trials would leave most of the trial
+  // pool's threads idle. At n = 2^16 on 4 threads it wins a lone trial on
+  // both spaces from m = 2^20 on, and two torus trials at m = 2^22; two
+  // ring trials, whose owner search is now a small share of each ball, and
+  // four torus trials run faster side by side on the trial pool (README's
+  // engine guide has the times).
+  if (resolve_threads(sc.threads) >= 4 &&
+      ((sc.trials == 1 && m >= (1ull << 20)) ||
+       (sc.trials == 2 && sc.space == SpaceKind::kTorus &&
+        m >= (1ull << 22)))) {
     return Engine::kSharded;
   }
   if (m >= 4096) return Engine::kBatched;

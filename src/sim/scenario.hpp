@@ -260,8 +260,9 @@ struct RunReport {
 
 /// The engine kAuto resolves to, on the ring and the torus: kSharded (the
 /// batched engine resolving each block on a pool of spec.threads workers)
-/// for one or two huge trials (trials <= 2, m >= 2^22) when >= 4 threads
-/// are available, kBatched at m >= 4096 (measured 5x / 2.3x scalar), else
+/// for a lone trial of m >= 2^20, or two torus trials of m >= 2^22, when
+/// >= 4 threads are available, kBatched at m >= 4096 (measured 5x / 2.3x
+/// scalar), else
 /// kScalar. The other spaces resolve to kScalar (uniform has no owner
 /// lookup to batch; the rest have no bulk kernels). Depends on
 /// hardware_concurrency only through the kSharded rule when

@@ -56,6 +56,10 @@ void expect_exact_equivalence(const Space& space, const gc::ProcessOptions& o,
   EXPECT_EQ(scalar.balls, batched.balls);
 }
 
+const char* kernel_name(gg::Kernel kernel) {
+  return kernel == gg::Kernel::kAvx512 ? "avx512" : "scalar";
+}
+
 }  // namespace
 
 TEST(BatchProcess, RejectsBadArguments) {
@@ -299,6 +303,112 @@ TEST(RingOwnerBatch, DuplicatesAndClusteredBuckets) {
   expect_ring_owners(one_bucket, edge_queries(one_bucket), "one bucket");
 }
 
+namespace {
+
+struct RingCase {
+  std::vector<double> positions;
+  std::vector<double> xs;
+  const char* what;
+};
+
+// Every ring the ring_owner_batch kernels are checked on.
+std::vector<RingCase> ring_kernel_cases() {
+  std::vector<RingCase> cases;
+  gr::DefaultEngine gen(19);
+  for (const std::size_t n : {1u, 2u, 3u}) {
+    auto pos = uniform_ring(n, gen);
+    cases.push_back({pos, edge_queries(pos), "uniform, n <= 3"});
+    pos = boundary_ring(n);
+    cases.push_back({pos, edge_queries(pos), "boundaries, n <= 3"});
+  }
+  // 45 positions, so 45 buckets: bucket b < 10 holds b positions, the
+  // rest none. Buckets 5 to 9 take the fallback past the four-position
+  // count; bucket 7 repeats one position, bucket 9 starts on its edge.
+  {
+    const double n = 45.0;
+    std::vector<double> pos;
+    for (int b = 0; b < 10; ++b) {
+      for (int i = 0; i < b; ++i) {
+        const double u =
+            b == 7 && i > 2 ? 0.5 : (static_cast<double>(i) + 0.5) / b;
+        pos.push_back(b == 9 && i == 0 ? b / n : (b + u) / n);
+      }
+    }
+    auto xs = edge_queries(pos);
+    for (int i = 0; i < 300; ++i) xs.push_back(gr::uniform01(gen) * 10.0 / n);
+    cases.push_back({pos, xs, "buckets of 0 to 9 positions"});
+  }
+  // A uniform ring: about 2% of its 8-query groups hold a bucket over four.
+  {
+    auto pos = uniform_ring(4096, gen);
+    std::vector<double> xs(4099);
+    for (auto& x : xs) x = gr::uniform01(gen);
+    cases.push_back({pos, xs, "uniform, n = 4096"});
+  }
+  return cases;
+}
+
+// Every result of `kernel` must equal ring_owner and the O(n) reference by
+// index, on every prefix of up to 17 queries (each length mod 8) and on the
+// whole list.
+void expect_ring_kernel_matches(gg::Kernel kernel) {
+  for (const RingCase& c : ring_kernel_cases()) {
+    std::vector<double> pos = c.positions;
+    const std::vector<std::uint32_t> dir = gg::sort_ring_positions(pos);
+    std::vector<std::size_t> lengths = {c.xs.size()};
+    for (std::size_t len = 0; len <= std::min<std::size_t>(17, c.xs.size());
+         ++len) {
+      lengths.push_back(len);
+    }
+    for (const std::size_t len : lengths) {
+      const std::span<const double> xs(c.xs.data(), len);
+      std::vector<std::uint32_t> got(len);
+      gg::ring_owner_batch(kernel, pos, dir, xs, got);
+      for (std::size_t i = 0; i < len; ++i) {
+        const auto want = static_cast<std::uint32_t>(gg::ring_owner(pos, xs[i]));
+        ASSERT_EQ(got[i], want) << c.what << " n=" << pos.size()
+                                << " len=" << len << " x=" << xs[i];
+        ASSERT_EQ(want, brute_ring_owner(pos, xs[i]))
+            << c.what << " n=" << pos.size() << " x=" << xs[i];
+      }
+    }
+  }
+}
+
+}  // namespace
+
+// The scalar kernel runs on every CPU; ring_owner_batch without a kernel
+// runs whichever the CPU selects, and must equal it.
+TEST(RingOwnerBatch, ScalarKernelMatchesRingOwner) {
+  std::printf("ring_owner_batch runs the %s kernel on this CPU\n",
+              kernel_name(gg::batch_kernel()));
+  expect_ring_kernel_matches(gg::Kernel::kScalar);
+  for (const RingCase& c : ring_kernel_cases()) {
+    std::vector<double> pos = c.positions;
+    const std::vector<std::uint32_t> dir = gg::sort_ring_positions(pos);
+    std::vector<std::uint32_t> dispatched(c.xs.size());
+    std::vector<std::uint32_t> scalar(c.xs.size());
+    gg::ring_owner_batch(pos, dir, c.xs, dispatched);
+    gg::ring_owner_batch(gg::Kernel::kScalar, pos, dir, c.xs, scalar);
+    EXPECT_EQ(dispatched, scalar) << c.what;
+  }
+}
+
+TEST(RingOwnerBatch, Avx512KernelMatchesRingOwner) {
+  if (gg::batch_kernel() != gg::Kernel::kAvx512) {
+    std::vector<double> pos = {0.5};
+    const std::vector<std::uint32_t> dir = gg::sort_ring_positions(pos);
+    const std::vector<double> xs = {0.25};
+    std::vector<std::uint32_t> out(1);
+    EXPECT_THROW(gg::ring_owner_batch(gg::Kernel::kAvx512, pos, dir, xs, out),
+                 std::invalid_argument);
+    GTEST_SKIP() << "this CPU lacks AVX-512 F/VL/DQ: only the scalar "
+                    "kernel ran";
+  }
+  std::printf("checking the avx512 kernel\n");
+  expect_ring_kernel_matches(gg::Kernel::kAvx512);
+}
+
 TEST(SortRingPositions, MatchesStdSortAndIndexesBuckets) {
   gr::DefaultEngine gen(18);
   std::vector<std::vector<double>> inputs = {
@@ -453,6 +563,37 @@ std::vector<NearestCase> nearest_cases() {
     cases.push_back({uniform(300), 0, outside, "queries outside [0,1)^2"});
   }
 
+  // Exact d² ties in whole groups of eight: sites on the lattice
+  // (i/8, j/8), listed from the highest (i, j), and queries at the centre
+  // of four sites and between two. Every difference is a multiple of 1/16,
+  // so the tied distances are equal to the bit; the lowest index must win.
+  // Also on the k = 1 and k = 3 grids, where the block covers the whole
+  // torus (at k = 1 every site appears in it nine times).
+  {
+    std::vector<gg::Vec2> lattice;
+    for (int i = 7; i >= 0; --i) {
+      for (int j = 7; j >= 0; --j) lattice.push_back({i / 8.0, j / 8.0});
+    }
+    std::vector<gg::Vec2> qs;
+    for (int i = 0; i < 8; ++i) {
+      for (int j = 0; j < 8; ++j) {
+        qs.push_back({(i + 0.5) / 8.0, (j + 0.5) / 8.0});
+        qs.push_back({(i + 0.5) / 8.0, j / 8.0});
+      }
+    }
+    for (const std::uint32_t k : {0u, 1u, 3u}) {
+      cases.push_back({lattice, k, qs, "lattice ties"});
+    }
+  }
+
+  // One query outside [0,1)^2 in each group of eight: the group goes to
+  // the scalar kernel, the groups around it stay vectorized.
+  {
+    auto qs = uniform(67);
+    for (std::size_t i = 3; i < qs.size(); i += 8) qs[i].x += 1.0;
+    cases.push_back({uniform(300), 0, qs, "one query outside per group"});
+  }
+
   // One call with >= buckets/8 queries over a grid bigger than 256 KiB.
   cases.push_back({uniform(12000), 0, uniform(2048), "large call"});
   return cases;
@@ -461,7 +602,7 @@ std::vector<NearestCase> nearest_cases() {
 // Every result of `kernel` must equal nearest() and the brute-force
 // reference on the wrapped query by index, ties included (the lowest index
 // wins).
-void expect_kernel_matches(gg::SpatialGrid::Kernel kernel) {
+void expect_kernel_matches(gg::Kernel kernel) {
   for (const NearestCase& c : nearest_cases()) {
     const gg::SpatialGrid grid(c.sites, c.buckets_per_axis);
     std::vector<std::uint32_t> got(c.qs.size());
@@ -477,39 +618,35 @@ void expect_kernel_matches(gg::SpatialGrid::Kernel kernel) {
   }
 }
 
-const char* kernel_name(gg::SpatialGrid::Kernel kernel) {
-  return kernel == gg::SpatialGrid::Kernel::kAvx512 ? "avx512" : "scalar";
-}
-
 }  // namespace
 
 // The scalar kernel runs on every CPU. nearest_batch itself runs whichever
 // kernel the CPU selects; the other test covers the vector one.
 TEST(NearestBatch, MatchesScalarNearest) {
   std::printf("nearest_batch runs the %s kernel on this CPU\n",
-              kernel_name(gg::SpatialGrid::batch_kernel()));
-  expect_kernel_matches(gg::SpatialGrid::Kernel::kScalar);
+              kernel_name(gg::batch_kernel()));
+  expect_kernel_matches(gg::Kernel::kScalar);
   for (const NearestCase& c : nearest_cases()) {
     const gg::SpatialGrid grid(c.sites, c.buckets_per_axis);
     std::vector<std::uint32_t> dispatched(c.qs.size());
     std::vector<std::uint32_t> scalar(c.qs.size());
     grid.nearest_batch(c.qs, dispatched);
-    grid.nearest_batch(gg::SpatialGrid::Kernel::kScalar, c.qs, scalar);
+    grid.nearest_batch(gg::Kernel::kScalar, c.qs, scalar);
     EXPECT_EQ(dispatched, scalar) << c.what;
   }
 }
 
 TEST(NearestBatch, Avx512KernelMatchesScalarNearest) {
-  if (gg::SpatialGrid::batch_kernel() != gg::SpatialGrid::Kernel::kAvx512) {
+  if (gg::batch_kernel() != gg::Kernel::kAvx512) {
     const gg::SpatialGrid grid(std::vector<gg::Vec2>{{0.5, 0.5}});
     const std::vector<gg::Vec2> qs = {{0.25, 0.25}};
     std::vector<std::uint32_t> out(1);
     EXPECT_THROW(
-        grid.nearest_batch(gg::SpatialGrid::Kernel::kAvx512, qs, out),
+        grid.nearest_batch(gg::Kernel::kAvx512, qs, out),
         std::invalid_argument);
     GTEST_SKIP() << "this CPU lacks AVX-512 F/VL/DQ: only the scalar "
                     "kernel ran";
   }
   std::printf("checking the avx512 kernel\n");
-  expect_kernel_matches(gg::SpatialGrid::Kernel::kAvx512);
+  expect_kernel_matches(gg::Kernel::kAvx512);
 }

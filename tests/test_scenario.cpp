@@ -169,24 +169,30 @@ TEST(Scenario, AutoResolutionRules) {
   EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kScalar);
   sc.num_balls = 1 << 14;
   EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
-  sc.num_balls = 1ull << 22;
+  sc.num_balls = 1ull << 20;
   sc.trials = 1;
   EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kSharded);
 
-  // One or two huge trials run on the in-trial pool, on either space.
+  // A lone trial of m >= 2^20 runs on the in-trial pool on either space;
+  // two trials only on the torus, from m = 2^22.
   for (const auto space : {gm::SpaceKind::kRing, gm::SpaceKind::kTorus}) {
     sc.space = space;
-    sc.trials = 2;
-    EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kSharded);
-    sc.trials = 3;  // the trial pool runs them side by side instead
-    EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
     sc.trials = 1;
-    sc.num_balls = (1ull << 22) - 1;
+    sc.num_balls = (1ull << 20) - 1;
     EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
-    sc.num_balls = 1ull << 22;
+    sc.num_balls = 1ull << 20;
+    EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kSharded);
     sc.threads = 2;  // the pool needs cores
     EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
     sc.threads = 8;
+    sc.trials = 2;
+    EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
+    sc.num_balls = 1ull << 22;
+    EXPECT_EQ(gm::resolve_engine(sc), space == gm::SpaceKind::kTorus
+                                          ? gm::Engine::kSharded
+                                          : gm::Engine::kBatched);
+    sc.trials = 3;  // the trial pool runs them side by side instead
+    EXPECT_EQ(gm::resolve_engine(sc), gm::Engine::kBatched);
   }
 
   // Uniform has no owner lookup to batch; the non-bulk spaces have no
